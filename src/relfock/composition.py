@@ -24,9 +24,17 @@ from .hilbert import (
     ModeSpec,
     StateVector,
     compose_space_id,
+    pull_back,
+    selection_isometry,
+    tensor_product,
     validate_embedding,
 )
-from .relational import SpectralDecomposition, relational_state
+from .relational import (
+    SpectralDecomposition,
+    _degeneracy_groups,
+    _pivot_phase,
+    relational_state,
+)
 from .tolerances import Tolerances, resolve
 
 
@@ -62,33 +70,20 @@ def schmidt_decompose(psi_R: StateVector, e: Embedding,
     """Singular value decomposition of the pulled-back state, plus the part of
     psi outside the image as an explicit residual vector."""
     tol = resolve(tol)
-    psi_R.require_space(e.reference_id, e.reference.dimension)
+    phi = pull_back(psi_R, e)
     if not psi_R.is_normalized(tol):
         raise ValueError(f"state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}")
-    component = e.isometry.conj().T @ psi_R.amplitudes
-    phi = component.reshape(e.subsystem.dimension, e.complementer.dimension)
     u, s, vh = np.linalg.svd(phi, full_matrices=False)
     keep = s >= tol.zero_eig
     u, s, vh = u[:, keep], s[keep], vh[keep, :]
 
     # Phase convention: make each B vector canonical, absorb the opposite
     # phase into the A vector so c_j (x)-products are unchanged.
-    a_cols = []
-    b_rows = []
-    for j in range(len(s)):
-        b = vh[j, :]
-        idx = int(np.argmax(np.abs(b)))
-        pivot = b[idx]
-        phase = pivot.conj() / abs(pivot) if abs(pivot) > 0 else 1.0
-        b_rows.append(b * phase)
-        a_cols.append(u[:, j] * np.conj(phase))
+    phases = [_pivot_phase(vh[j, :]) for j in range(len(s))]
+    b_rows = [vh[j, :] * phase for j, phase in enumerate(phases)]
+    a_cols = [u[:, j] * np.conj(phase) for j, phase in enumerate(phases)]
 
-    groups: list[list[int]] = []
-    for j in range(len(s)):
-        if groups and (s[groups[-1][-1]] - s[j]) < tol.degen:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
+    groups = _degeneracy_groups(s, tol.degen)
     # Within a degenerate group, order pairs by the first index of the
     # largest-modulus component of the A vector (stable for exact ties).
     order = list(range(len(s)))
@@ -101,7 +96,7 @@ def schmidt_decompose(psi_R: StateVector, e: Embedding,
     a_cols = [a_cols[j] for j in order]
     b_rows = [b_rows[j] for j in order]
 
-    residual = psi_R.amplitudes - e.isometry @ component
+    residual = psi_R.amplitudes - e.isometry @ phi.reshape(-1)
     res_norm_sq = float(np.vdot(residual, residual).real)
     return SchmidtDecomposition(
         coefficients=tuple(float(x) for x in s),
@@ -172,35 +167,8 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
     else:
         complementer = FockSpace.trivial(f"{reference.space_id}[]")
 
-    part_spaces = [p.subsystem for p in parts]
-    part_positions = [
-        [reference.mode_index(l) for l in p.partition.subsystem_labels] for p in parts
-    ]
-    comp_positions = [reference.mode_index(l) for l in comp_labels]
-    max_occ = [m.max_occupation for m in reference.modes]
-
-    dim_b = complementer.dimension
-    matrix = np.zeros((reference.dimension, subsystem.dimension * dim_b), dtype=np.complex128)
-    template = [frozen.get(l, 0) for l in reference.mode_labels]
-    for a_idx in range(subsystem.dimension):
-        joint_occ = subsystem.occupation_of(a_idx)
-        occ_a = list(template)
-        pos = 0
-        overflow = False
-        for space, positions in zip(part_spaces, part_positions):
-            k = len(space.modes)
-            for p, n in zip(positions, joint_occ[pos:pos + k]):
-                occ_a[p] += n  # overlapping claims accumulate, possibly past the cutoff
-                if occ_a[p] > max_occ[p]:
-                    overflow = True
-            pos += k
-        if overflow:
-            continue  # column stays zero: the map cannot be an isometry
-        for b_idx in range(dim_b):
-            occ = list(occ_a)
-            for p, n in zip(comp_positions, complementer.occupation_of(b_idx)):
-                occ[p] = n
-            matrix[reference.index_of(occ), a_idx * dim_b + b_idx] = 1.0
+    groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
+    matrix = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
 
     partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
     composed = Embedding(subsystem, complementer, reference, matrix, partition)
@@ -244,22 +212,18 @@ def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
     perm = [0] + [i + 1 for i in keep] + [i + 1 for i in rest] + [len(full_dims)]
     w = np.transpose(w, perm)
 
-    new_sub = reduce(lambda a, b: _tensor_space(a, b), (factors[i] for i in keep))
+    new_sub = reduce(tensor_product, (factors[i] for i in keep))
     rest_spaces = [factors[i] for i in rest] + (
         [composed.complementer] if composed.complementer.dimension > 1
         or composed.complementer.modes else []
     )
     if rest_spaces:
-        new_comp = reduce(lambda a, b: _tensor_space(a, b), rest_spaces)
+        new_comp = reduce(tensor_product, rest_spaces)
     else:
         new_comp = composed.complementer
     matrix = w.reshape(composed.reference.dimension,
                        new_sub.dimension * new_comp.dimension)
     return Embedding(new_sub, new_comp, composed.reference, matrix)
-
-
-def _tensor_space(a: FockSpace, b: FockSpace) -> FockSpace:
-    return FockSpace(compose_space_id(a.space_id, b.space_id), a.modes + b.modes)
 
 
 @dataclass(frozen=True)

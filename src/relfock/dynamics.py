@@ -17,11 +17,11 @@ from .errors import SpaceMismatchError
 from .hilbert import (
     Embedding,
     FockSpace,
-    LinearOperator,
     StateVector,
     charge_operator,
     ladder_operator,
     number_operator,
+    pull_back,
 )
 from .tolerances import Tolerances, resolve
 
@@ -64,10 +64,6 @@ class HamiltonianSpec:
     @property
     def space_id(self) -> str:
         return self.space.space_id
-
-    @property
-    def operator(self) -> LinearOperator:
-        return LinearOperator(self.space_id, self.space_id, self.matrix, hermitian=True)
 
     def spectral_norm(self) -> float:
         return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
@@ -190,15 +186,16 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     charges = {kind: np.empty(len(times_arr)) for kind in charge_mats}
     traces = {key: np.empty(len(times_arr)) for key in embeddings}
     for i, t in enumerate(times_arr):
-        amps = _propagate(w, u, psi0.amplitudes, float(t))
-        states.append(StateVector(psi0.space_id, amps))
+        state = StateVector(psi0.space_id, _propagate(w, u, psi0.amplitudes, float(t)))
+        states.append(state)
+        amps = state.amplitudes
         norms[i] = float(np.vdot(amps, amps).real)
         energies[i] = float(np.vdot(amps, h.matrix @ amps).real)
         for kind, mat in charge_mats.items():
             charges[kind][i] = float(np.vdot(amps, mat @ amps).real)
         for key, emb in embeddings.items():
-            comp = emb.isometry.conj().T @ amps
-            traces[key][i] = float(np.vdot(comp, comp).real)
+            phi = pull_back(state, emb)
+            traces[key][i] = float(np.vdot(phi, phi).real)
     drift = float(np.abs(norms - 1.0).max()) if len(times_arr) else 0.0
     if drift >= tol.evolve:
         raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")

@@ -16,6 +16,7 @@ Index conventions, used everywhere without exception:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
@@ -241,11 +242,6 @@ def bell_state(
     return StateVector(space.space_id, amps)
 
 
-def ghz_state(space: FockSpace) -> StateVector:
-    """(|vacuum> + |one quantum in every mode>)/sqrt(2)."""
-    return bell_state(space)
-
-
 def random_state_vector(space: FockSpace, seed: int) -> StateVector:
     """A Haar-ish random unit vector: normalized complex Gaussian amplitudes."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -259,7 +255,7 @@ class LinearOperator:
     """A dense matrix between named spaces.
 
     If hermitian is asserted it is verified at construction against the
-    active Hermiticity tolerance.
+    default Hermiticity tolerance.
     """
 
     domain_space_id: str
@@ -283,25 +279,6 @@ class LinearOperator:
     def apply(self, state: StateVector) -> StateVector:
         state.require_space(self.domain_space_id, self.matrix.shape[1])
         return StateVector(self.codomain_space_id, self.matrix @ state.amplitudes)
-
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(
-            self.codomain_space_id, self.domain_space_id, self.matrix.conj().T, self.hermitian
-        )
-
-    def expectation(self, state: StateVector) -> complex:
-        state.require_space(self.domain_space_id, self.matrix.shape[1])
-        return complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        if other.codomain_space_id != self.domain_space_id:
-            raise SpaceMismatchError(
-                f"cannot compose: {other.codomain_space_id!r} != {self.domain_space_id!r}"
-            )
-        return LinearOperator(other.domain_space_id, self.codomain_space_id,
-                              self.matrix @ other.matrix)
 
 
 def identity_operator(space: FockSpace) -> LinearOperator:
@@ -476,13 +453,21 @@ class ImageProjection(NamedTuple):
     deficiency: float      # |psi|^2 - |V^dagger psi|^2, clamped at zero
 
 
+def pull_back(psi_R: StateVector, e: Embedding) -> np.ndarray:
+    """V^dagger psi as a (dim A, dim B) matrix: the coordinates of a reference
+    state on the embedded product basis |a> (x) |b>."""
+    psi_R.require_space(e.reference_id, e.reference.dimension)
+    # conj(psi^dagger V) equals V^dagger psi without a conjugated copy of V.
+    component = np.conj(psi_R.amplitudes.conj() @ e.isometry)
+    return component.reshape(e.subsystem.dimension, e.complementer.dimension)
+
+
 def project_onto_image(psi_R: StateVector, e: Embedding,
                        tol: Tolerances | None = None) -> ImageProjection:
     """Split a reference-space vector into its A (x) B component and the weight
     lying outside the image."""
     tol = resolve(tol)
-    psi_R.require_space(e.reference_id, e.reference.dimension)
-    component = e.isometry.conj().T @ psi_R.amplitudes
+    component = pull_back(psi_R, e).reshape(-1)
     deficiency = psi_R.norm_sq - float(np.vdot(component, component).real)
     if deficiency < -tol.norm:
         raise ValueError(
@@ -505,6 +490,35 @@ def identity_embedding(space_a: FockSpace, space_b: FockSpace,
             f"identity embedding needs dim(R) = dim(A)*dim(B); got {reference.dimension} != {dim}"
         )
     return Embedding(space_a, space_b, reference, np.eye(dim, dtype=np.complex128), partition)
+
+
+def selection_isometry(reference: FockSpace,
+                       groups: Sequence[tuple[FockSpace, Sequence[str]]],
+                       frozen: Mapping[str, int]) -> np.ndarray:
+    """The 0/1 map placing the product of the group spaces into the reference.
+
+    Each group is a space plus the reference labels its modes occupy, in that
+    space's mode order; columns enumerate the groups' basis states A-major, in
+    group order. Every reference mode starts at its frozen occupation (zero
+    if not frozen) and each group adds its occupations, so labels claimed by
+    more than one group accumulate. A column whose occupations pass a cutoff
+    has no image and stays zero, which makes the map fail validation.
+    """
+    n_modes = len(reference.modes)
+    dims = [space.dimension for space, _ in groups]
+    occ = np.empty((*dims, n_modes), dtype=np.int64)
+    occ[...] = [frozen.get(l, 0) for l in reference.mode_labels]
+    for axis, (space, labels) in enumerate(groups):
+        placed = np.zeros((space.dimension, n_modes), dtype=np.int64)
+        placed[:, [reference.mode_index(l) for l in labels]] = space.basis_occupations
+        shape = [1] * len(dims) + [n_modes]
+        shape[axis] = space.dimension
+        occ += placed.reshape(shape)
+    occ = occ.reshape(math.prod(dims), n_modes)
+    fits = (occ <= [m.max_occupation for m in reference.modes]).all(axis=1)
+    matrix = np.zeros((reference.dimension, len(occ)), dtype=np.complex128)
+    matrix[occ[fits] @ np.array(reference._strides, dtype=np.int64), fits] = 1.0
+    return matrix
 
 
 def mode_partition_embedding(
@@ -550,22 +564,7 @@ def mode_partition_embedding(
 
     space_a = _sub_space(sub, subsystem_id or f"{reference.space_id}[{','.join(sub)}]")
     space_b = _sub_space(comp, complementer_id or f"{reference.space_id}[{','.join(comp)}]")
-
-    matrix = np.zeros((reference.dimension, space_a.dimension * space_b.dimension),
-                      dtype=np.complex128)
-    occ_template = [frozen.get(l, 0) for l in all_labels]
-    positions_a = [reference.mode_index(l) for l in sub]
-    positions_b = [reference.mode_index(l) for l in comp]
-    for a_idx in range(space_a.dimension):
-        occ_a = space_a.occupation_of(a_idx) if sub else ()
-        for b_idx in range(space_b.dimension):
-            occ_b = space_b.occupation_of(b_idx) if comp else ()
-            occ = list(occ_template)
-            for pos, n in zip(positions_a, occ_a):
-                occ[pos] = n
-            for pos, n in zip(positions_b, occ_b):
-                occ[pos] = n
-            matrix[reference.index_of(occ), a_idx * space_b.dimension + b_idx] = 1.0
+    matrix = selection_isometry(reference, [(space_a, sub), (space_b, comp)], frozen)
     return Embedding(space_a, space_b, reference, matrix,
                      ModePartition(sub, comp, tuple(sorted(frozen.items()))))
 

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .hilbert import Embedding, StateVector
+from .hilbert import Embedding, StateVector, pull_back
 from .tolerances import Tolerances, resolve
 
 
@@ -74,15 +74,13 @@ def relational_state(psi_R: StateVector, e: Embedding, factor: Factor = "A",
     |V^dagger psi|^2, which can be smaller than one.
     """
     tol = resolve(tol)
-    psi_R.require_space(e.reference_id, e.reference.dimension)
+    phi = pull_back(psi_R, e)
     if not psi_R.is_normalized(tol):
         raise ValueError(
             f"reference state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}"
         )
     if factor not in ("A", "B"):
         raise ValueError(f"factor must be 'A' or 'B', got {factor!r}")
-    component = e.isometry.conj().T @ psi_R.amplitudes
-    phi = component.reshape(e.subsystem.dimension, e.complementer.dimension)
     if factor == "A":
         rho = phi @ phi.conj().T
         space_id = e.subsystem_id
@@ -134,13 +132,23 @@ class SpectralDecomposition:
         return np.outer(v, v.conj())
 
 
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the first component of largest modulus is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if abs(pivot) == 0.0:
-        return vec
-    return vec * (pivot.conj() / abs(pivot))
+def _pivot_phase(vec: np.ndarray) -> complex:
+    """The unit phase that makes the first component of largest modulus of
+    vec real positive (1 for the zero vector)."""
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    return pivot.conj() / abs(pivot) if abs(pivot) > 0 else 1.0
+
+
+def _degeneracy_groups(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Runs of consecutive indices of descending values whose neighbours
+    differ by less than tol."""
+    groups: list[list[int]] = []
+    for j in range(len(values)):
+        if groups and (values[groups[-1][-1]] - values[j]) < tol:
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    return groups
 
 
 def _deterministic_group_basis(vectors: np.ndarray) -> np.ndarray:
@@ -164,7 +172,7 @@ def _deterministic_group_basis(vectors: np.ndarray) -> np.ndarray:
         # Projector columns were too collinear to span the space; keep the
         # solver's vectors (still deterministic for identical input).
         basis = [vectors[:, j] for j in range(k)]
-    fixed = [_canonical_phase(b) for b in basis]
+    fixed = [b * _pivot_phase(b) for b in basis]
     fixed.sort(key=lambda v: int(np.argmax(np.abs(v))))
     return np.stack(fixed, axis=1)
 
@@ -185,17 +193,12 @@ def possible_internal_states(rho: DensityOperator,
     v = v[:, keep]
     w = np.clip(w, 0.0, 1.0)
 
-    groups: list[list[int]] = []
-    for j in range(len(w)):
-        if groups and (w[groups[-1][-1]] - w[j]) < tol.degen:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
+    groups = _degeneracy_groups(w, tol.degen)
     for g in groups:
         if len(g) > 1:
             v[:, g] = _deterministic_group_basis(v[:, g])
         else:
-            v[:, g[0]] = _canonical_phase(v[:, g[0]])
+            v[:, g[0]] *= _pivot_phase(v[:, g[0]])
 
     eigenvectors = tuple(StateVector(rho.space_id, v[:, j]) for j in range(len(w)))
     annihilation = max(0.0, 1.0 - float(np.sum(w)))
@@ -294,9 +297,7 @@ def check_isolated_independence(psi_R: StateVector, e: Embedding,
             trace_deficit=rho.trace_deficit, entanglement_weight=secondary,
             note=f"not applicable: trace deficit {rho.trace_deficit:g}",
         )
-    component = e.isometry.conj().T @ psi_R.amplitudes
-    phi = component.reshape(e.subsystem.dimension, e.complementer.dimension)
-    u, _, _ = np.linalg.svd(phi)
+    u, _, _ = np.linalg.svd(pull_back(psi_R, e))
     psi_a = u[:, 0]
     dev = float(np.abs(rho.matrix - np.outer(psi_a, psi_a.conj())).max())
     passed = dev < tol.herm

@@ -9,7 +9,7 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -75,16 +75,7 @@ class Report:
             "library_version": self.library_version,
             "scenario_digest": self.scenario_digest,
             "status": "failed" if self.failed else "ok",
-            "tolerances": {
-                "norm": self.tolerances.norm,
-                "herm": self.tolerances.herm,
-                "psd": self.tolerances.psd,
-                "degen": self.tolerances.degen,
-                "zero_eig": self.tolerances.zero_eig,
-                "evolve": self.tolerances.evolve,
-                "ssr": self.tolerances.ssr,
-                "marg": self.tolerances.marg,
-            },
+            "tolerances": asdict(self.tolerances),
             "tasks": [
                 {
                     "name": t.name,

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -57,7 +58,6 @@ from .hilbert import (
     bell_state,
     build_fock_space,
     embedding_from_isometry,
-    ghz_state,
     mode_partition_embedding,
     random_state_vector,
     state_from_amplitudes,
@@ -113,6 +113,12 @@ def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _lookup(pool: Mapping[str, Any], name: Any, what: str, where: str) -> Any:
+    if not isinstance(name, str) or name not in pool:
+        raise ScenarioError(f"{where}: unknown {what} {name!r}")
+    return pool[name]
+
+
 def _named_entries(doc: Mapping[str, Any], section: str, name_key: str = "name") -> list:
     entries = doc.get(section, [])
     if not isinstance(entries, list):
@@ -122,6 +128,8 @@ def _named_entries(doc: Mapping[str, Any], section: str, name_key: str = "name")
         if not isinstance(entry, Mapping):
             raise ScenarioError(f"{section}[{i}]: expected an object")
         name = _require(entry, name_key, f"{section}[{i}]")
+        if not isinstance(name, str):
+            raise ScenarioError(f"{section}[{i}]: {name_key} must be a string, got {name!r}")
         if name in seen:
             raise ScenarioError(f"{section}: duplicate name {name!r}")
         seen.add(name)
@@ -135,6 +143,8 @@ def _build_space(entry: Mapping[str, Any], where: str) -> FockSpace:
         raise ScenarioError(f"{where}: modes must be a nonempty list")
     for i, m in enumerate(raw_modes):
         mwhere = f"{where}.modes[{i}]"
+        if not isinstance(m, Mapping):
+            raise ScenarioError(f"{mwhere}: expected an object")
         try:
             modes.append(ModeSpec(
                 label=_require(m, "label", mwhere),
@@ -152,10 +162,7 @@ def _build_space(entry: Mapping[str, Any], where: str) -> FockSpace:
 
 def _build_state(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
                  tol: Tolerances, where: str) -> StateVector:
-    space_name = _require(entry, "space", where)
-    if space_name not in spaces:
-        raise ScenarioError(f"{where}: unknown space {space_name!r}")
-    space = spaces[space_name]
+    space = _lookup(spaces, _require(entry, "space", where), "space", where)
     kind = entry.get("kind", "amplitudes")
     try:
         if kind == "basis":
@@ -168,7 +175,7 @@ def _build_state(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
                 pair = (tuple(int(n) for n in pair[0]), tuple(int(n) for n in pair[1]))
             return bell_state(space, pair)
         if kind == "ghz":
-            return ghz_state(space)
+            return bell_state(space)
         if kind == "random":
             return random_state_vector(space, int(_require(entry, "seed", where)))
         if kind == "amplitudes":
@@ -188,14 +195,13 @@ def _build_state(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
 
 def _build_embedding(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
                      tol: Tolerances, where: str) -> Embedding:
-    ref_name = _require(entry, "reference", where)
-    if ref_name not in spaces:
-        raise ScenarioError(f"{where}: unknown space {ref_name!r}")
-    reference = spaces[ref_name]
+    reference = _lookup(spaces, _require(entry, "reference", where), "space", where)
     kind = entry.get("kind", "mode_partition")
     try:
         if kind == "mode_partition":
             frozen = entry.get("frozen") or {}
+            if not isinstance(frozen, Mapping):
+                raise ScenarioError(f"{where}: frozen must map mode labels to occupations")
             return mode_partition_embedding(
                 reference,
                 subsystem_labels=_require(entry, "subsystem_modes", where),
@@ -205,14 +211,10 @@ def _build_embedding(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
                 complementer_id=entry.get("complementer_id"),
             )
         if kind == "isometry":
-            for key in ("subsystem", "complementer"):
-                if _require(entry, key, where) not in spaces:
-                    raise ScenarioError(f"{where}: unknown space {entry[key]!r}")
+            space_a = _lookup(spaces, _require(entry, "subsystem", where), "space", where)
+            space_b = _lookup(spaces, _require(entry, "complementer", where), "space", where)
             matrix = _complex_matrix(_require(entry, "matrix", where), f"{where}.matrix")
-            return embedding_from_isometry(
-                spaces[entry["subsystem"]], spaces[entry["complementer"]],
-                reference, matrix, tol=tol,
-            )
+            return embedding_from_isometry(space_a, space_b, reference, matrix, tol=tol)
     except ScenarioError:
         raise
     except (ValueError, EmbeddingValidationError) as exc:
@@ -222,9 +224,7 @@ def _build_embedding(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
 
 def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
                        tol: Tolerances, where: str) -> HamiltonianSpec:
-    space_name = _require(entry, "space", where)
-    if space_name not in spaces:
-        raise ScenarioError(f"{where}: unknown space {space_name!r}")
+    space = _lookup(spaces, _require(entry, "space", where), "space", where)
     terms = []
     for i, term in enumerate(entry.get("terms", [])):
         twhere = f"{where}.terms[{i}]"
@@ -232,9 +232,12 @@ def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace]
         if not isinstance(coeff, (int, float)):
             raise ScenarioError(f"{twhere}: coefficient must be a real number")
         factors = term.get("factors", [])
+        if not isinstance(factors, list) \
+                or not all(isinstance(f, list) and len(f) == 2 for f in factors):
+            raise ScenarioError(f"{twhere}: factors must be a list of [kind, mode label] pairs")
         terms.append((float(coeff), tuple((str(k), str(l)) for k, l in factors)))
     try:
-        return build_hamiltonian(spaces[space_name], terms, tol)
+        return build_hamiltonian(space, terms, tol)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -249,6 +252,8 @@ def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -291,6 +296,8 @@ def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
             raise ScenarioError(f"{where}: expected an object")
         command = _require(entry, "command", where)
         name = entry.get("name", f"{command}-{i}")
+        if not isinstance(command, str) or not isinstance(name, str):
+            raise ScenarioError(f"{where}: command and name must be strings")
         if name in names:
             raise ScenarioError(f"{where}: duplicate task name {name!r}")
         names.add(name)
@@ -316,12 +323,15 @@ def _check_task_references(tasks: Sequence[Task], states, embeddings, hamiltonia
     for task in tasks:
         for key, pool_name in _TASK_REFS.items():
             value = task.params.get(key)
-            if value is not None and value not in pools[pool_name]:
+            if value is not None and (not isinstance(value, str) or value not in pools[pool_name]):
                 raise ScenarioError(
                     f"task {task.name!r}: unknown {key} reference {value!r}"
                 )
-        for value in task.params.get("embeddings", []):
-            if value not in embeddings:
+        names = task.params.get("embeddings", [])
+        if not isinstance(names, list):
+            raise ScenarioError(f"task {task.name!r}: embeddings must be a list of names")
+        for value in names:
+            if not isinstance(value, str) or value not in embeddings:
                 raise ScenarioError(
                     f"task {task.name!r}: unknown embedding reference {value!r}"
                 )

@@ -37,18 +37,6 @@ class SectorDecomposition:
                 return idx
         raise KeyError(f"no sector with charge {charge}")
 
-    def projector(self, charge: int) -> np.ndarray:
-        mat = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
-        for i in self.indices(charge):
-            mat[i, i] = 1.0
-        return mat
-
-    def sector_of_index(self, index: int) -> int:
-        for q, idx in self.sectors:
-            if index in idx:
-                return q
-        raise KeyError(f"basis index {index} not assigned to any sector")
-
 
 def sector_decomposition(space: FockSpace, kind: str) -> SectorDecomposition:
     """Group basis states by total charge (exact integers)."""

@@ -1,8 +1,8 @@
 """Numeric tolerances used across the library.
 
 All comparisons against exact algebraic identities (isometry, Hermiticity,
-unit norm, ...) go through a single Tolerances record so they can be tightened
-or relaxed globally, e.g. from the command line.
+unit norm, ...) go through a single Tolerances record, passed per call, so
+they can be tightened or relaxed for one run, e.g. from the command line.
 """
 from __future__ import annotations
 
@@ -24,18 +24,9 @@ class Tolerances:
         return replace(self, **kwargs)
 
 
-_active = Tolerances()
-
-
-def active_tolerances() -> Tolerances:
-    return _active
-
-
-def set_active_tolerances(tol: Tolerances) -> None:
-    global _active
-    _active = tol
+_DEFAULT = Tolerances()
 
 
 def resolve(tol: Tolerances | None) -> Tolerances:
-    """Return the given tolerances, or the active global default."""
-    return _active if tol is None else tol
+    """Return the given tolerances, or the defaults."""
+    return _DEFAULT if tol is None else tol

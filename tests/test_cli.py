@@ -32,6 +32,13 @@ def write_scenario(tmp_path: Path, doc: dict) -> Path:
     return path
 
 
+def edited(name: str, edit) -> bytes:
+    """A bundled scenario with one in-place edit applied to its document."""
+    doc = json.loads(scenario_path(name).read_bytes())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
 MINIMAL = {
     "schema": "relfock.scenario/1",
     "spaces": [{"id": "S", "modes": [{"label": "a", "max_occupation": 1}]}],
@@ -55,6 +62,12 @@ class TestLoadScenario:
         doc = dict(MINIMAL)
         doc["tasks"] = [{"command": "reduce", "state": "ground", "embedding": "missing"}]
         with pytest.raises(ScenarioError, match="missing"):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    def test_joint_embeddings_must_be_a_list(self, tmp_path):
+        doc = json.loads(scenario_path("bell").read_bytes())
+        doc["tasks"] = [{"command": "joint", "state": "bell", "embeddings": "AB"}]
+        with pytest.raises(ScenarioError, match="embeddings must be a list of names"):
             load_scenario(write_scenario(tmp_path, doc))
 
     def test_parse_error_reports_position(self, tmp_path):
@@ -175,6 +188,22 @@ class TestCliContract:
         assert proc.returncode == 2
         assert b"error" in proc.stderr
 
+    @pytest.mark.parametrize("scenario_bytes", [
+        lambda: scenario_path("bell").read_bytes().replace(b'"bell"', b'"b\xe9ll"'),
+        lambda: edited("bell", lambda doc: doc["spaces"][0].update(modes=[1])),
+        lambda: edited("annihilation", lambda doc: doc["embeddings"][0].update(frozen=["e+"])),
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                       .update(factors=[["create"]])),
+        lambda: edited("bell", lambda doc: doc["states"][0].update(name=["bell"])),
+    ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
+            "name-as-list"])
+    def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(scenario_bytes())
+        proc = run_cli(str(path))
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr and b"error" in proc.stderr
+
     def test_exit_code_1_on_task_failure(self, tmp_path):
         doc = {
             "schema": "relfock.scenario/1",
@@ -233,3 +262,10 @@ class TestToleranceOverrides:
         load_scenario(path, Tolerances())  # fine at default tolerance
         with pytest.raises(ScenarioError, match="not normalized"):
             load_scenario(path, Tolerances().with_overrides(norm=1e-17))
+
+
+def test_public_names_resolve():
+    import relfock
+
+    missing = [name for name in relfock.__all__ if not hasattr(relfock, name)]
+    assert missing == []

@@ -1,6 +1,8 @@
 """Spaces, ladder operators, charges, tensor products, embeddings."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from relfock import (
     build_fock_space,
     charge_operator,
     charge_values,
+    compose_embeddings,
     identity_embedding,
     identity_operator,
     ladder_operator,
@@ -259,6 +262,73 @@ class TestEmbeddings:
         sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
         with pytest.raises(ValueError, match="partition"):
             mode_partition_embedding(sp, ["a"], complementer_labels=[])
+
+
+def _selection_oracle(reference, groups, frozen):
+    """The 0/1 map built column by column: for each product basis state, start
+    from the frozen occupations, add every group's occupations at its labels
+    and look the result up with index_of; a cutoff overflow is a zero column."""
+    columns = list(itertools.product(*[range(space.dimension) for space, _ in groups]))
+    mat = np.zeros((reference.dimension, len(columns)), dtype=np.complex128)
+    for col, indices in enumerate(columns):
+        occ = [frozen.get(label, 0) for label in reference.mode_labels]
+        for (space, labels), i in zip(groups, indices):
+            for label, n in zip(labels, space.occupation_of(i)):
+                occ[reference.mode_index(label)] += n
+        try:
+            mat[reference.index_of(occ), col] = 1.0
+        except ValueError:
+            pass
+    return mat
+
+
+def _random_reference(rng):
+    modes = []
+    for i in range(int(rng.integers(2, 6))):
+        if rng.random() < 0.4:
+            modes.append(ModeSpec(f"f{i}", "fermion", 1))
+        else:
+            modes.append(ModeSpec(f"b{i}", "boson", int(rng.integers(0, 3))))
+    return build_fock_space(modes, "R")
+
+
+def _random_frozen(rng, reference, labels):
+    return {l: int(rng.integers(0, reference.modes[reference.mode_index(l)].max_occupation + 1))
+            for l in labels}
+
+
+class TestSelectionMapOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mode_partition_matches_oracle(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ref = _random_reference(rng)
+        labels = list(rng.permutation(ref.mode_labels))
+        cut1, cut2 = sorted(int(x) for x in rng.integers(0, len(labels) + 1, size=2))
+        sub, comp, frozen_labels = labels[:cut1], labels[cut1:cut2], labels[cut2:]
+        frozen = _random_frozen(rng, ref, frozen_labels)
+        e = mode_partition_embedding(ref, sub, comp, frozen)
+        oracle = _selection_oracle(ref, [(e.subsystem, sub), (e.complementer, comp)], frozen)
+        assert np.array_equal(e.isometry, oracle)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_composition_matches_oracle(self, seed):
+        # Parts are drawn independently, so they often overlap (claim a label
+        # twice, or claim a label another part froze); validate=False keeps
+        # those defective maps, zero columns included.
+        rng = np.random.Generator(np.random.PCG64(1000 + seed))
+        ref = _random_reference(rng)
+        pool = _random_frozen(rng, ref, [l for l in ref.mode_labels if rng.random() < 0.4])
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            frozen = {l: n for l, n in pool.items() if rng.random() < 0.7}
+            free = [l for l in rng.permutation(ref.mode_labels) if l not in frozen]
+            sub = free[:int(rng.integers(0, len(free) + 1))]
+            parts.append(mode_partition_embedding(ref, sub, frozen=frozen))
+        composed = compose_embeddings(parts, validate=False)
+        frozen = {l: n for p in parts for l, n in p.partition.frozen}
+        groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
+        groups.append((composed.complementer, composed.partition.complementer_labels))
+        assert np.array_equal(composed.isometry, _selection_oracle(ref, groups, frozen))
 
 
 class TestProjectOntoImage:

@@ -71,12 +71,6 @@ class TestSectorDecomposition:
                     occ = sp.occupation_of(i)
                     assert sum(n * m.charge(kind) for n, m in zip(occ, sp.modes)) == q
 
-    def test_projectors_sum_to_identity(self):
-        sp = charged_playground()
-        dec = sector_decomposition(sp, "electric")
-        total = sum(dec.projector(q) for q in dec.charges)
-        np.testing.assert_array_equal(total, np.eye(sp.dimension))
-
 
 class TestIsChargeEigenstate:
     def test_single_basis_state(self):
