@@ -223,6 +223,7 @@ def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
         new_comp = composed.complementer
     matrix = w.reshape(composed.reference.dimension,
                        new_sub.dimension * new_comp.dimension)
+    matrix.flags.writeable = False
     return Embedding(new_sub, new_comp, composed.reference, matrix)
 
 

@@ -1,7 +1,8 @@
 """Unitary evolution of closed-system states (hbar = 1).
 
-Hamiltonians are assembled from products of ladder and number operators and
-hermitized term by term; evolution is the exact matrix exponential through an
+Hamiltonian terms are products of ladder and number operators, assembled by
+following each basis column through the ``hilbert.mode_action`` index maps and
+hermitized one by one; evolution is the exact matrix exponential through an
 eigendecomposition, so norm and energy are conserved to solver precision.
 A trilinear conversion family moves quanta out of an embedded product
 subspace, which is how a relational trace dynamically drops below one.
@@ -9,6 +10,7 @@ subspace, which is how a relational trace dynamically drops below one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,10 +20,10 @@ from .hilbert import (
     Embedding,
     FockSpace,
     StateVector,
-    charge_operator,
-    ladder_operator,
-    number_operator,
+    charge_values,
+    mode_action,
     pull_back,
+    read_only_complex,
 )
 from .tolerances import Tolerances, resolve
 
@@ -57,9 +59,7 @@ class HamiltonianSpec:
     matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", read_only_complex(self.matrix))
 
     @property
     def space_id(self) -> str:
@@ -79,16 +79,18 @@ def build_hamiltonian(space: FockSpace,
         t if isinstance(t, HamiltonianTerm) else HamiltonianTerm(t[0], tuple(t[1]))
         for t in terms
     )
+    cols = np.arange(space.dimension)
     total = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
     for term in parsed:
-        mat = np.eye(space.dimension, dtype=np.complex128)
-        for kind, label in term.factors:
-            if kind == "number":
-                op = number_operator(space, label).matrix
-            else:
-                op = ladder_operator(space, label, kind).matrix
-            mat = mat @ op
-        mat = term.coefficient * mat
+        # Follow each column through the factors right to left; multiply the
+        # weights left to right, as the dense product of the factors would.
+        rows, weights = cols, []
+        for kind, label in reversed(term.factors):
+            moved, weight = mode_action(space, label, kind)
+            weights.append(weight[rows])
+            rows = moved[rows]
+        mat = np.zeros_like(total)
+        mat[rows, cols] = term.coefficient * reduce(np.multiply, reversed(weights), 1.0)
         if float(np.abs(mat - mat.conj().T).max()) < tol.herm:
             total += mat
         else:
@@ -96,6 +98,7 @@ def build_hamiltonian(space: FockSpace,
     dev = float(np.abs(total - total.conj().T).max())
     if dev >= tol.herm:
         raise ValueError(f"assembled Hamiltonian is not Hermitian: max dev {dev:g}")
+    total.flags.writeable = False
     return HamiltonianSpec(space=space, terms=parsed, matrix=total)
 
 
@@ -125,10 +128,6 @@ def hopping_hamiltonian(space: FockSpace, coupling: float,
     )
 
 
-def _eigensystem(h: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(h.matrix)
-
-
 def _propagate(w: np.ndarray, u: np.ndarray, amplitudes: np.ndarray, t: float) -> np.ndarray:
     return u @ (np.exp(-1j * w * t) * (u.conj().T @ amplitudes))
 
@@ -140,7 +139,7 @@ def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
     psi0.require_space(h.space_id, h.space.dimension)
     if not psi0.is_normalized(tol):
         raise ValueError(f"initial state must be unit norm; |psi|^2 = {psi0.norm_sq!r}")
-    w, u = _eigensystem(h)
+    w, u = np.linalg.eigh(h.matrix)
     return StateVector(psi0.space_id, _propagate(w, u, psi0.amplitudes, float(t)))
 
 
@@ -176,14 +175,14 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
             raise SpaceMismatchError(
                 f"embedding {key!r} references {emb.reference_id!r}, expected {h.space_id!r}"
             )
-    charge_mats = {kind: charge_operator(h.space, kind).matrix for kind in charge_kinds}
+    charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
 
-    w, u = _eigensystem(h)
+    w, u = np.linalg.eigh(h.matrix)
     times_arr = np.asarray(list(times), dtype=np.float64)
     states: list[StateVector] = []
     norms = np.empty(len(times_arr))
     energies = np.empty(len(times_arr))
-    charges = {kind: np.empty(len(times_arr)) for kind in charge_mats}
+    charges = {kind: np.empty(len(times_arr)) for kind in charge_diags}
     traces = {key: np.empty(len(times_arr)) for key in embeddings}
     for i, t in enumerate(times_arr):
         state = StateVector(psi0.space_id, _propagate(w, u, psi0.amplitudes, float(t)))
@@ -191,8 +190,8 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
         amps = state.amplitudes
         norms[i] = float(np.vdot(amps, amps).real)
         energies[i] = float(np.vdot(amps, h.matrix @ amps).real)
-        for kind, mat in charge_mats.items():
-            charges[kind][i] = float(np.vdot(amps, mat @ amps).real)
+        for kind, q in charge_diags.items():
+            charges[kind][i] = float(np.vdot(amps, q * amps).real)
         for key, emb in embeddings.items():
             phi = pull_back(state, emb)
             traces[key][i] = float(np.vdot(phi, phi).real)

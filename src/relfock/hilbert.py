@@ -165,6 +165,16 @@ def build_fock_space(modes: Iterable[ModeSpec], space_id: str | None = None) -> 
     return FockSpace(space_id=space_id, modes=modes)
 
 
+def read_only_complex(values) -> np.ndarray:
+    """values as a read-only complex128 array, copied only if it is not one yet."""
+    if isinstance(values, np.ndarray) and values.dtype == np.complex128 \
+            and not values.flags.writeable:
+        return values
+    mat = np.array(values, dtype=np.complex128)
+    mat.flags.writeable = False
+    return mat
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A vector in a named space. Not necessarily normalized: residuals and
@@ -175,10 +185,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = read_only_complex(self.amplitudes)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a one-dimensional vector")
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -264,10 +273,9 @@ class LinearOperator:
     hermitian: bool = False
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
+        mat = read_only_complex(self.matrix)
         if mat.ndim != 2:
             raise ValueError("operator matrix must be two-dimensional")
-        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         if self.hermitian:
             if self.domain_space_id != self.codomain_space_id or mat.shape[0] != mat.shape[1]:
@@ -286,52 +294,43 @@ def identity_operator(space: FockSpace) -> LinearOperator:
                           np.eye(space.dimension, dtype=np.complex128), hermitian=True)
 
 
-def _local_annihilator(dim: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        mat[n - 1, n] = np.sqrt(n)
-    return mat
-
-
-def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+def mode_action(space: FockSpace, label: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Where a mode operator (kind "create", "annihilate" or "number") sends
+    each basis column j: to row moved[j] with weight[j]. Annihilation takes n
+    to n-1 with sqrt(n), creation n to n+1 with sqrt(n+1), number keeps n with
+    weight n; a column leaving the truncated space (no wraparound) stays with
+    weight 0. Fermionic ladder weights carry the Jordan-Wigner sign
+    (-1)^(occupation of the fermionic modes before the target in mode order).
+    """
+    i = space.mode_index(label)
+    mode, occ = space.modes[i], space.basis_occupations
+    n = occ[:, i]
+    if kind == "number":
+        return np.arange(space.dimension), n.astype(np.float64)
+    step = 1 if kind == "create" else -1
+    live = (n + step >= 0) & (n + step <= mode.max_occupation)
+    weight = np.sqrt(np.maximum(n, n + step)) * live  # sqrt of the larger occupation
+    moved = np.arange(space.dimension) + step * space._strides[i] * live
+    if mode.statistics == "fermion":
+        before = [k for k, m in enumerate(space.modes[:i]) if m.statistics == "fermion"]
+        weight[occ[:, before].sum(axis=1) % 2 == 1] *= -1.0
+    return moved, weight
 
 
 def ladder_operator(space: FockSpace, mode_label: str, kind: str) -> LinearOperator:
-    """Creation or annihilation operator for one mode of the space.
-
-    Bosonic annihilation maps |n> -> sqrt(n)|n-1>; creation is its adjoint, so
-    the top state |n_max> is annihilated by creation (truncation convention,
-    no wraparound). Fermionic operators carry a Jordan-Wigner sign string over
-    the fermionic modes that precede the target in mode order.
-    """
+    """Creation or annihilation operator for one mode: ``mode_action`` as a matrix."""
     if kind not in ("create", "annihilate"):
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    target = space.mode_index(mode_label)
-    factors = []
-    for i, mode in enumerate(space.modes):
-        d = mode.local_dimension
-        if i == target:
-            local = _local_annihilator(d)
-            if kind == "create":
-                local = local.conj().T
-            factors.append(local)
-        elif i < target and space.modes[target].statistics == "fermion" and mode.statistics == "fermion":
-            # Jordan-Wigner string: (-1)^n on fermionic modes before the target.
-            factors.append(np.diag([(-1.0 + 0j) ** n for n in range(d)]))
-        else:
-            factors.append(np.eye(d, dtype=np.complex128))
-    return LinearOperator(space.space_id, space.space_id, _kron_chain(factors))
+    moved, weight = mode_action(space, mode_label, kind)
+    mat = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
+    mat[moved, np.arange(space.dimension)] = weight
+    return LinearOperator(space.space_id, space.space_id, mat)
 
 
 def number_operator(space: FockSpace, mode_label: str) -> LinearOperator:
     """Occupation number of one mode; diagonal in the occupation basis."""
-    i = space.mode_index(mode_label)
-    diag = space.basis_occupations[:, i].astype(np.complex128)
-    return LinearOperator(space.space_id, space.space_id, np.diag(diag), hermitian=True)
+    _, n = mode_action(space, mode_label, "number")
+    return LinearOperator(space.space_id, space.space_id, np.diag(n), hermitian=True)
 
 
 def charge_values(space: FockSpace, kind: str) -> np.ndarray:
@@ -404,7 +403,7 @@ class Embedding:
     partition: ModePartition | None = None
 
     def __post_init__(self):
-        mat = np.array(self.isometry, dtype=np.complex128)
+        mat = read_only_complex(self.isometry)
         expected = (self.reference.dimension, self.image_dimension)
         if mat.shape != expected:
             raise SpaceMismatchError(
@@ -413,7 +412,6 @@ class Embedding:
             )
         # dim(A)*dim(B) > dim(R) is not rejected here: such a map exists but can
         # never be an isometry, so validate_embedding reports the failure.
-        mat.flags.writeable = False
         object.__setattr__(self, "isometry", mat)
 
     @property
@@ -518,6 +516,7 @@ def selection_isometry(reference: FockSpace,
     fits = (occ <= [m.max_occupation for m in reference.modes]).all(axis=1)
     matrix = np.zeros((reference.dimension, len(occ)), dtype=np.complex128)
     matrix[occ[fits] @ np.array(reference._strides, dtype=np.int64), fits] = 1.0
+    matrix.flags.writeable = False
     return matrix
 
 

@@ -113,6 +113,24 @@ def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _integer(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _integers(values: Any, where: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where}: expected a list of integers, got {values!r}")
+    return [_integer(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _labels(values: Any, where: str) -> list[str]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ScenarioError(f"{where}: expected a list of mode labels, got {values!r}")
+    return values
+
+
 def _lookup(pool: Mapping[str, Any], name: Any, what: str, where: str) -> Any:
     if not isinstance(name, str) or name not in pool:
         raise ScenarioError(f"{where}: unknown {what} {name!r}")
@@ -145,12 +163,16 @@ def _build_space(entry: Mapping[str, Any], where: str) -> FockSpace:
         mwhere = f"{where}.modes[{i}]"
         if not isinstance(m, Mapping):
             raise ScenarioError(f"{mwhere}: expected an object")
+        charges = m.get("charges") or {}
+        if not isinstance(charges, Mapping):
+            raise ScenarioError(f"{mwhere}.charges: expected an object mapping charge kinds"
+                                f" to integers, got {charges!r}")
         try:
             modes.append(ModeSpec(
                 label=_require(m, "label", mwhere),
                 statistics=m.get("statistics", "boson"),
                 max_occupation=m.get("max_occupation", 1),
-                charges=tuple(sorted((m.get("charges") or {}).items())),
+                charges=tuple(sorted(charges.items())),
             ))
         except ValueError as exc:
             raise ScenarioError(f"{mwhere}: {exc}") from exc
@@ -167,17 +189,22 @@ def _build_state(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
     try:
         if kind == "basis":
             if "occupations" in entry:
-                return basis_state(space, [int(n) for n in entry["occupations"]])
-            return basis_state(space, int(_require(entry, "index", where)))
+                occupations = _integers(entry["occupations"], f"{where}.occupations")
+                return basis_state(space, occupations)
+            index = _integer(_require(entry, "index", where), f"{where}.index")
+            return basis_state(space, index)
         if kind == "bell":
             pair = entry.get("pair")
             if pair is not None:
-                pair = (tuple(int(n) for n in pair[0]), tuple(int(n) for n in pair[1]))
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ScenarioError(f"{where}.pair: expected two occupation lists")
+                pair = tuple(_integers(occ, f"{where}.pair[{i}]") for i, occ in enumerate(pair))
             return bell_state(space, pair)
         if kind == "ghz":
             return bell_state(space)
         if kind == "random":
-            return random_state_vector(space, int(_require(entry, "seed", where)))
+            seed = _integer(_require(entry, "seed", where), f"{where}.seed")
+            return random_state_vector(space, seed)
         if kind == "amplitudes":
             amps = _complex_vector(_require(entry, "amplitudes", where), f"{where}.amplitudes")
             state = state_from_amplitudes(space, amps)
@@ -202,11 +229,16 @@ def _build_embedding(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
             frozen = entry.get("frozen") or {}
             if not isinstance(frozen, Mapping):
                 raise ScenarioError(f"{where}: frozen must map mode labels to occupations")
+            sub = _labels(_require(entry, "subsystem_modes", where), f"{where}.subsystem_modes")
+            comp = entry.get("complementer_modes")
+            if comp is not None:
+                comp = _labels(comp, f"{where}.complementer_modes")
             return mode_partition_embedding(
                 reference,
-                subsystem_labels=_require(entry, "subsystem_modes", where),
-                complementer_labels=entry.get("complementer_modes"),
-                frozen={str(k): int(v) for k, v in frozen.items()},
+                subsystem_labels=sub,
+                complementer_labels=comp,
+                frozen={str(k): _integer(v, f"{where}.frozen[{k!r}]")
+                        for k, v in frozen.items()},
                 subsystem_id=entry.get("subsystem_id"),
                 complementer_id=entry.get("complementer_id"),
             )
@@ -226,8 +258,13 @@ def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace]
                        tol: Tolerances, where: str) -> HamiltonianSpec:
     space = _lookup(spaces, _require(entry, "space", where), "space", where)
     terms = []
-    for i, term in enumerate(entry.get("terms", [])):
+    raw_terms = entry.get("terms", [])
+    if not isinstance(raw_terms, list):
+        raise ScenarioError(f"{where}.terms: expected a list of term objects")
+    for i, term in enumerate(raw_terms):
         twhere = f"{where}.terms[{i}]"
+        if not isinstance(term, Mapping):
+            raise ScenarioError(f"{twhere}: expected an object, got {term!r}")
         coeff = _require(term, "coefficient", twhere)
         if not isinstance(coeff, (int, float)):
             raise ScenarioError(f"{twhere}: coefficient must be a real number")

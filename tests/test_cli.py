@@ -195,8 +195,24 @@ class TestCliContract:
         lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
                        .update(factors=[["create"]])),
         lambda: edited("bell", lambda doc: doc["states"][0].update(name=["bell"])),
+        lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][0]
+                       .update(charges=[1])),
+        lambda: edited("annihilation", lambda doc: doc["embeddings"][0]
+                       .update(subsystem_modes=5)),
+        lambda: edited("annihilation", lambda doc: doc["embeddings"][0]
+                       .update(complementer_modes=3)),
+        lambda: edited("annihilation", lambda doc: doc["embeddings"][0]
+                       .update(frozen={"photon": None})),
+        lambda: edited("annihilation", lambda doc: doc["states"][0].update(occupations=5)),
+        lambda: edited("annihilation", lambda doc: doc["states"].__setitem__(
+            0, {"name": "pair", "space": "U", "kind": "basis", "index": None})),
+        lambda: edited("annihilation", lambda doc: doc["states"][0].update(
+            kind="random", seed=None)),
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0].update(terms=[1])),
     ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
-            "name-as-list"])
+            "name-as-list", "charges-list", "subsystem-modes-int", "complementer-modes-int",
+            "frozen-null", "occupations-int", "index-null", "seed-null",
+            "term-not-object"])
     def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
         path = tmp_path / "scenario.json"
         path.write_bytes(scenario_bytes())

@@ -15,6 +15,7 @@ from relfock import (
     evolve_trajectory,
     free_hamiltonian,
     hopping_hamiltonian,
+    ladder_operator,
     mode_partition_embedding,
     number_operator,
     random_state_vector,
@@ -185,3 +186,81 @@ class TestTrajectories:
         bad = mode_partition_embedding(other, ["w"])
         with pytest.raises(Exception, match="reference"):
             trace_deficit_trajectory(psi0, h, bad, [0.0, 1.0])
+
+
+# Reference: mode operators as Kronecker chains of local matrices and terms as
+# dense products of them in factor order, with the same hermitization rule.
+def _kron_ladder(space, label, kind):
+    target = space.mode_index(label)
+    factors = []
+    for i, mode in enumerate(space.modes):
+        d = mode.local_dimension
+        if i == target:
+            local = np.zeros((d, d), dtype=np.complex128)
+            for n in range(1, d):
+                local[n - 1, n] = np.sqrt(n)
+            factors.append(local.conj().T if kind == "create" else local)
+        elif i < target and space.modes[target].statistics == "fermion" \
+                and mode.statistics == "fermion":
+            factors.append(np.diag([(-1.0 + 0j) ** n for n in range(d)]))
+        else:
+            factors.append(np.eye(d, dtype=np.complex128))
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def _kron_number(space, label):
+    return np.diag(space.basis_occupations[:, space.mode_index(label)].astype(np.complex128))
+
+
+def _kron_hamiltonian(space, terms, herm=1e-10):
+    total = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
+    for coefficient, factors in terms:
+        mat = np.eye(space.dimension, dtype=np.complex128)
+        for kind, label in factors:
+            op = _kron_number(space, label) if kind == "number" \
+                else _kron_ladder(space, label, kind)
+            mat = mat @ op
+        mat = coefficient * mat
+        if float(np.abs(mat - mat.conj().T).max()) < herm:
+            total += mat
+        else:
+            total += mat + mat.conj().T
+    return total
+
+
+def _random_terms(seed):
+    """A space of 1-4 fermion or boson (cutoff 0-3) modes and 1-3 terms of
+    1-4 factors each; labels may repeat within a term."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    modes = [ModeSpec(f"m{i}", "fermion", 1) if rng.random() < 0.5
+             else ModeSpec(f"m{i}", "boson", int(rng.integers(0, 4)))
+             for i in range(int(rng.integers(1, 5)))]
+    space = build_fock_space(modes, f"S{seed}")
+    terms = [(float(rng.normal()),
+              tuple((str(rng.choice(["create", "annihilate", "number"])),
+                     str(rng.choice(space.mode_labels)))
+                    for _ in range(int(rng.integers(1, 5)))))
+             for _ in range(int(rng.integers(1, 4)))]
+    return space, terms
+
+
+class TestKroneckerOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_hamiltonian_bitwise_equal(self, seed):
+        space, terms = _random_terms(seed)
+        assert np.array_equal(build_hamiltonian(space, terms).matrix,
+                              _kron_hamiltonian(space, terms))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_mode_operators_equal(self, seed):
+        # Only the sign of zero entries may differ, which array_equal ignores.
+        space, _ = _random_terms(seed)
+        for label in space.mode_labels:
+            for kind in ("create", "annihilate"):
+                assert np.array_equal(ladder_operator(space, label, kind).matrix,
+                                      _kron_ladder(space, label, kind))
+            assert np.array_equal(number_operator(space, label).matrix,
+                                  _kron_number(space, label))

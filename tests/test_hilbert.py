@@ -16,6 +16,7 @@ from relfock import (
     charge_operator,
     charge_values,
     compose_embeddings,
+    embedding_from_isometry,
     identity_embedding,
     identity_operator,
     ladder_operator,
@@ -257,6 +258,21 @@ class TestEmbeddings:
         psi_out = basis_state(sp, (0, 0, 1))
         comp, deficiency = project_onto_image(psi_out, e)
         assert deficiency == pytest.approx(1.0)
+
+    def test_writable_isometry_is_copied(self):
+        a, b = qudit_space(2, "a"), qudit_space(2, "b")
+        matrix = np.eye(4, dtype=np.complex128)
+        e = embedding_from_isometry(a, b, tensor_product(a, b), matrix)
+        matrix[0, 0] = 0.0
+        assert e.isometry[0, 0] == 1.0
+        assert matrix.flags.writeable and not e.isometry.flags.writeable
+
+    def test_built_isometry_is_read_only_and_kept(self):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        e = mode_partition_embedding(sp, ["a"])
+        assert not e.isometry.flags.writeable
+        again = Embedding(e.subsystem, e.complementer, e.reference, e.isometry)
+        assert again.isometry is e.isometry
 
     def test_mode_partition_must_cover_space(self):
         sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
