@@ -2,15 +2,17 @@
 
 Hamiltonian terms are products of ladder and number operators, assembled by
 following each basis column through the ``hilbert.mode_action`` index maps and
-hermitized one by one; evolution is the exact matrix exponential through an
-eigendecomposition, so norm and energy are conserved to solver precision.
+hermitized one by one from those maps. Evolution is the exact matrix
+exponential through an eigendecomposition per conserved block (a connected
+component of H's nonzero pattern), computed once per Hamiltonian, so norm and
+energy are conserved to solver precision.
 A trilinear conversion family moves quanta out of an embedded product
 subspace, which is how a relational trace dynamically drops below one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,8 +67,76 @@ class HamiltonianSpec:
     def space_id(self) -> str:
         return self.space.space_id
 
+    @cached_property
+    def eigensystem(self) -> "SectorEigensystem":
+        """Eigendecomposition per conserved block, computed on first use."""
+        return _sector_eigensystem(self.matrix)
+
     def spectral_norm(self) -> float:
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
+        return float(max(np.abs(w).max() for _, w, _ in self.eigensystem.blocks))
+
+
+@dataclass(frozen=True)
+class SectorEigensystem:
+    """H block by block: one (indices, eigenvalues, eigenvectors) triple per
+    block size s, stacking the k blocks of that size as arrays of shape
+    (k, s), (k, s) and (k, s, s); row i of indices lists the basis states of
+    one block in ascending order, and H restricted to them is
+    u[i] diag(w[i]) u[i]^dagger. All arrays are read-only."""
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) amplitudes, as u (e^{-iwt} (u^dagger a)) per block."""
+        out = np.empty_like(amplitudes)
+        for idx, w, u in self.blocks:
+            phase = np.exp(-1j * w * t)
+            if w.shape[1] == 1:  # u is [[1]]: a phase only
+                out[idx] = phase * amplitudes[idx]
+                continue
+            # u^dagger a as conj(a^dagger u): no conjugated copy of u
+            coeffs = np.matmul(amplitudes[idx].conj()[:, None, :], u).conj()
+            coeffs *= phase[:, None, :]
+            out[idx] = np.matmul(coeffs, u.swapaxes(1, 2))[:, 0, :]
+        return out
+
+
+def _sector_eigensystem(matrix: np.ndarray) -> SectorEigensystem:
+    """Split a Hermitian matrix into the connected components of its nonzero
+    pattern and diagonalize them, with one stacked ``eigh`` per block size.
+    Size-1 blocks are their diagonal entry; a single block spanning the space
+    goes to ``eigh`` as the matrix itself, with no gathered copy."""
+    n = matrix.shape[0]
+    rows, cols = np.nonzero(matrix)
+    # Min-label propagation with pointer jumping over the (symmetric) pattern:
+    # label[i] is always a member of i's block no larger than i, and settles
+    # on the block's smallest index.
+    label = np.arange(n)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, rows, label[cols])
+        hooked = hooked[hooked]
+        if (hooked == label).all():
+            break
+        label = hooked
+    size = np.bincount(label, minlength=n)[label]
+    order = np.lexsort((label, size))  # by block size, then block, then index
+    size = size[order]
+    blocks = []
+    for s in np.unique(size).tolist():
+        idx = order[size == s].reshape(-1, s)
+        if s == 1:
+            w = matrix[idx, idx].real
+            u = np.ones((len(idx), 1, 1), dtype=np.complex128)
+        elif s == n:
+            w, u = np.linalg.eigh(matrix)
+            w, u = w[None], u[None]
+        else:
+            w, u = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+        for arr in (idx, w, u):
+            arr.flags.writeable = False
+        blocks.append((idx, w, u))
+    return SectorEigensystem(tuple(blocks))
 
 
 def build_hamiltonian(space: FockSpace,
@@ -89,12 +159,17 @@ def build_hamiltonian(space: FockSpace,
             moved, weight = mode_action(space, label, kind)
             weights.append(weight[rows])
             rows = moved[rows]
-        mat = np.zeros_like(total)
-        mat[rows, cols] = term.coefficient * reduce(np.multiply, reversed(weights), 1.0)
-        if float(np.abs(mat - mat.conj().T).max()) < tol.herm:
-            total += mat
+        vals = term.coefficient * reduce(np.multiply, reversed(weights), 1.0)
+        # The term holds vals[j] at (rows[j], j) and nothing else in column j;
+        # entry (j, rows[j]) is vals[rows[j]] if column rows[j] maps back to
+        # row j, else zero. Entries are real, so the adjoint is the transpose.
+        paired = rows[rows] == cols
+        mirror = np.where(paired, vals[rows], 0.0)
+        if float(np.abs(vals - mirror).max()) < tol.herm:
+            total[rows, cols] += vals
         else:
-            total += mat + mat.conj().T
+            total[rows, cols] += vals + mirror
+            total[cols[~paired], rows[~paired]] += vals[~paired]
     dev = float(np.abs(total - total.conj().T).max())
     if dev >= tol.herm:
         raise ValueError(f"assembled Hamiltonian is not Hermitian: max dev {dev:g}")
@@ -128,19 +203,15 @@ def hopping_hamiltonian(space: FockSpace, coupling: float,
     )
 
 
-def _propagate(w: np.ndarray, u: np.ndarray, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    return u @ (np.exp(-1j * w * t) * (u.conj().T @ amplitudes))
-
-
 def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
            tol: Tolerances | None = None) -> StateVector:
-    """psi(t) = exp(-i H t) psi0, exact through eigendecomposition."""
+    """psi(t) = exp(-i H t) psi0, exact through the eigendecomposition of
+    each conserved block of H."""
     tol = resolve(tol)
     psi0.require_space(h.space_id, h.space.dimension)
     if not psi0.is_normalized(tol):
         raise ValueError(f"initial state must be unit norm; |psi|^2 = {psi0.norm_sq!r}")
-    w, u = np.linalg.eigh(h.matrix)
-    return StateVector(psi0.space_id, _propagate(w, u, psi0.amplitudes, float(t)))
+    return StateVector(psi0.space_id, h.eigensystem.propagate(psi0.amplitudes, float(t)))
 
 
 @dataclass
@@ -177,7 +248,6 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
             )
     charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
 
-    w, u = np.linalg.eigh(h.matrix)
     times_arr = np.asarray(list(times), dtype=np.float64)
     states: list[StateVector] = []
     norms = np.empty(len(times_arr))
@@ -185,7 +255,7 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     charges = {kind: np.empty(len(times_arr)) for kind in charge_diags}
     traces = {key: np.empty(len(times_arr)) for key in embeddings}
     for i, t in enumerate(times_arr):
-        state = StateVector(psi0.space_id, _propagate(w, u, psi0.amplitudes, float(t)))
+        state = StateVector(psi0.space_id, h.eigensystem.propagate(psi0.amplitudes, float(t)))
         states.append(state)
         amps = state.amplitudes
         norms[i] = float(np.vdot(amps, amps).real)

@@ -73,8 +73,12 @@ def relational_state(psi_R: StateVector, e: Embedding, factor: Factor = "A",
     construction (symmetrized to remove roundoff), and its trace equals
     |V^dagger psi|^2, which can be smaller than one.
     """
-    tol = resolve(tol)
-    phi = pull_back(psi_R, e)
+    return _reduce(psi_R, pull_back(psi_R, e), e, factor, resolve(tol))
+
+
+def _reduce(psi_R: StateVector, phi: np.ndarray, e: Embedding, factor: Factor,
+            tol: Tolerances) -> DensityOperator:
+    """relational_state from the pulled-back state phi = V^dagger psi_R."""
     if not psi_R.is_normalized(tol):
         raise ValueError(
             f"reference state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}"
@@ -282,7 +286,8 @@ def check_isolated_independence(psi_R: StateVector, e: Embedding,
     one with negligible trace deficit), verify that the reduced state equals
     the projector onto the factor extracted independently by SVD."""
     tol = resolve(tol)
-    rho = relational_state(psi_R, e, "A", tol)
+    phi = pull_back(psi_R, e)
+    rho = _reduce(psi_R, phi, e, "A", tol)
     eigs = np.linalg.eigvalsh(rho.matrix)[::-1]
     secondary = float(eigs[1]) if len(eigs) > 1 else 0.0
     if secondary >= tol.zero_eig:
@@ -297,7 +302,7 @@ def check_isolated_independence(psi_R: StateVector, e: Embedding,
             trace_deficit=rho.trace_deficit, entanglement_weight=secondary,
             note=f"not applicable: trace deficit {rho.trace_deficit:g}",
         )
-    u, _, _ = np.linalg.svd(pull_back(psi_R, e))
+    u, _, _ = np.linalg.svd(phi)
     psi_a = u[:, 0]
     dev = float(np.abs(rho.matrix - np.outer(psi_a, psi_a.conj())).max())
     passed = dev < tol.herm

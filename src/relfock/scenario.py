@@ -33,13 +33,15 @@ A scenario is a JSON document with schema tag "relfock.scenario/1":
 
 Complex numbers are [re, im] pairs (bare reals are accepted on input). All
 name references are resolved at load time; dangling references, non-isometric
-explicit embeddings, non-Hermitian Hamiltonians and non-normalized states are
-load errors. Task commands and their parameters are documented in runner.py.
+explicit embeddings, non-Hermitian Hamiltonians, non-normalized states and
+spaces of more than MAX_DIMENSION basis states are load errors. Task commands
+and their parameters are documented in runner.py.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,6 +67,9 @@ from .hilbert import (
 from .tolerances import Tolerances, resolve
 
 SCENARIO_SCHEMA = "relfock.scenario/1"
+# Largest space a scenario may declare: one D x D complex128 matrix (a
+# Hamiltonian, a dense isometry) at this dimension takes 4 GiB.
+MAX_DIMENSION = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,10 @@ def _build_space(entry: Mapping[str, Any], where: str) -> FockSpace:
             ))
         except ValueError as exc:
             raise ScenarioError(f"{mwhere}: {exc}") from exc
+    dimension = math.prod(m.local_dimension for m in modes)
+    if dimension > MAX_DIMENSION:
+        raise ScenarioError(f"{where}: dimension {dimension} exceeds the limit of"
+                            f" {MAX_DIMENSION} basis states")
     try:
         return build_fock_space(modes, space_id=entry["id"])
     except ValueError as exc:

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relfock.scenario
 from relfock import ScenarioError, Tolerances, load_scenario, run_scenario
+from relfock.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -219,6 +221,20 @@ class TestCliContract:
         proc = run_cli(str(path))
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr and b"error" in proc.stderr
+
+    def test_dimension_budget_rejects_before_enumeration(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(edited("annihilation", lambda doc: doc["spaces"][0]["modes"][2]
+                                .update(max_occupation=1000000)))
+        proc = run_cli(str(path))
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr and b"4000004" in proc.stderr
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_fock_space called")
+        monkeypatch.setattr(relfock.scenario, "build_fock_space", refuse)
+        assert main([str(path), "--validate-only"]) == 2
+        assert "dimension 4000004" in capsys.readouterr().err
 
     def test_exit_code_1_on_task_failure(self, tmp_path):
         doc = {

@@ -1,10 +1,14 @@
 """Hamiltonian assembly and exact unitary evolution."""
 from __future__ import annotations
 
+from importlib import resources
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from relfock import (
+    HamiltonianSpec,
     ModeSpec,
     basis_state,
     build_fock_space,
@@ -16,6 +20,7 @@ from relfock import (
     free_hamiltonian,
     hopping_hamiltonian,
     ladder_operator,
+    load_scenario,
     mode_partition_embedding,
     number_operator,
     random_state_vector,
@@ -264,3 +269,103 @@ class TestKroneckerOracle:
                                       _kron_ladder(space, label, kind))
             assert np.array_equal(number_operator(space, label).matrix,
                                   _kron_number(space, label))
+
+
+def _block_sets(h):
+    return [frozenset(row.tolist()) for idx, _, _ in h.eigensystem.blocks for row in idx]
+
+
+def _counting_eigh(monkeypatch):
+    """Record the matrix argument of every np.linalg.eigh call."""
+    seen, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return seen
+
+
+class TestSectorEigensystem:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_blocks_are_connected_components(self, seed):
+        space, terms = _random_terms(seed)
+        h = build_hamiltonian(space, terms)
+        count, labels = connected_components(h.matrix != 0, directed=False)
+        expected = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
+        blocks = _block_sets(h)
+        assert len(blocks) == count and set(blocks) == expected
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_evolution_matches_dense_eigh(self, seed):
+        space, terms = _random_terms(seed)
+        h = build_hamiltonian(space, terms)
+        psi = random_state_vector(space, seed)
+        w, u = np.linalg.eigh(h.matrix)
+        times = [0.0, 0.37, 1.9]
+        traj = evolve_trajectory(psi, h, times)
+        for t, state in zip(times, traj.states):
+            expected = u @ (np.exp(-1j * w * t) * (u.conj().T @ psi.amplitudes))
+            np.testing.assert_allclose(evolve(psi, h, t).amplitudes, expected,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_complex_scattered_blocks_match_dense_eigh(self, seed):
+        # Complex Hermitian blocks on random, interleaved index sets.
+        rng = np.random.default_rng(seed)
+        space = build_fock_space([ModeSpec(f"m{i}", "boson", 1) for i in range(5)])
+        labels = rng.integers(0, 6, space.dimension)
+        mat = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        h = HamiltonianSpec(space, (), (mat + mat.conj().T) * (labels[:, None] == labels))
+        assert set(_block_sets(h)) == {frozenset(np.flatnonzero(labels == k).tolist())
+                                       for k in np.unique(labels)}
+        psi = random_state_vector(space, seed)
+        w, u = np.linalg.eigh(h.matrix)
+        expected = u @ (np.exp(-0.8j * w) * (u.conj().T @ psi.amplitudes))
+        np.testing.assert_allclose(evolve(psi, h, 0.8).amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_block_counts(self):
+        conversion_modes = [
+            ModeSpec("e-", "fermion", 1), ModeSpec("e+", "fermion", 1),
+            ModeSpec("photon", "boson", 1),
+        ] + [ModeSpec(f"x{i}", "fermion" if i % 2 else "boson", 1) for i in range(7)]
+        conversion = conversion_hamiltonian(build_fock_space(conversion_modes), 1.0,
+                                            ["photon"], ["e-", "e+"])
+        sizes = [len(b) for b in _block_sets(conversion)]
+        assert len(sizes) == 896 and max(sizes) == 2
+
+        chain = build_fock_space([ModeSpec(f"s{i}", "fermion", 1) for i in range(10)])
+        hopping = build_hamiltonian(chain, [
+            (0.5 + 0.1 * i, (("create", f"s{i + 1}"), ("annihilate", f"s{i}")))
+            for i in range(9)])
+        sizes = [len(b) for b in _block_sets(hopping)]
+        assert len(sizes) == 11 and max(sizes) == 252
+
+        bundled = resources.files("relfock") / "scenarios" / "annihilation.json"
+        h = load_scenario(str(bundled)).hamiltonians["pair_conversion"]
+        assert len(_block_sets(h)) == 7
+
+    def test_one_block_is_diagonalized_whole(self, monkeypatch):
+        space = build_fock_space([ModeSpec(f"q{i}", "boson", 1) for i in range(4)])
+        h = build_hamiltonian(space, [(0.3 + i, (("create", f"q{i}"),)) for i in range(4)])
+        seen = _counting_eigh(monkeypatch)
+        (idx, w, u), = h.eigensystem.blocks
+        assert len(seen) == 1 and seen[0] is h.matrix
+        assert np.array_equal(idx, np.arange(space.dimension)[None])
+        assert w.shape == (1, 16) and u.shape == (1, 16, 16)
+
+    def test_eigensystem_is_cached_read_only_and_shared(self, monkeypatch):
+        space, h, psi0, embedding = pair_annihilation_model()
+        seen = _counting_eigh(monkeypatch)
+        evolve(psi0, h, 0.4)
+        eigensystem = h.eigensystem
+        trace_deficit_trajectory(psi0, h, embedding, [0.0, 0.5, 1.0])
+        evolve(psi0, h, 0.9)
+        assert len(seen) == 1  # the one size-2 block, diagonalized once
+        assert h.eigensystem is eigensystem
+        for arrays in eigensystem.blocks:
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
