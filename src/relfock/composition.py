@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import EmbeddingValidationError, SpaceMismatchError
 from .hilbert import (
     Embedding,
+    EmbeddingValidation,
     FockSpace,
     ModePartition,
     ModeSpec,
@@ -27,7 +29,6 @@ from .hilbert import (
     pull_back,
     selection_isometry,
     tensor_product,
-    validate_embedding,
 )
 from .relational import (
     SpectralDecomposition,
@@ -132,8 +133,9 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
 
     Overlapping factors produce a map that is not an isometry; with
     ``validate`` (the default) that raises EmbeddingValidationError carrying
-    the report. Embeddings given by explicit isometries cannot be chained
-    automatically; build the joint isometry directly instead.
+    the report; max|V^dagger V - 1| is 1.0 if a column of this 0/1 map has no
+    image or shares its row, else 0.0. Explicit-isometry embeddings cannot be
+    chained automatically; build the joint isometry directly instead.
     """
     tol = resolve(tol)
     if not parts:
@@ -168,19 +170,17 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
         complementer = FockSpace.trivial(f"{reference.space_id}[]")
 
     groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
-    matrix = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
-
-    partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
-    composed = Embedding(subsystem, complementer, reference, matrix, partition)
+    matrix, rows = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
     if validate:
-        report = validate_embedding(composed, tol)
-        if not report.passed:
+        dev = 0.0 if rows.min() >= 0 and np.unique(rows).size == rows.size else 1.0
+        if dev >= tol.herm:
             raise EmbeddingValidationError(
                 "composed map is not an isometry (overlapping or inconsistent"
-                f" factors): max|V^dagger V - 1| = {report.max_deviation:g}",
-                report=report,
+                f" factors): max|V^dagger V - 1| = {dev:g}",
+                report=EmbeddingValidation(False, dev, tol.herm),
             )
-    return composed
+    partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
+    return Embedding(subsystem, complementer, reference, matrix, partition)
 
 
 def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
@@ -195,10 +195,7 @@ def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
     factors = list(factors)
     keep = list(keep)
     dims = [f.dimension for f in factors]
-    prod = 1
-    for d in dims:
-        prod *= d
-    if prod != composed.subsystem.dimension:
+    if prod(dims) != composed.subsystem.dimension:
         raise SpaceMismatchError(
             f"factor dimensions {dims} do not multiply to dim(A) ="
             f" {composed.subsystem.dimension}"
@@ -213,18 +210,23 @@ def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
     w = np.transpose(w, perm)
 
     new_sub = reduce(tensor_product, (factors[i] for i in keep))
-    rest_spaces = [factors[i] for i in rest] + (
-        [composed.complementer] if composed.complementer.dimension > 1
-        or composed.complementer.modes else []
-    )
-    if rest_spaces:
-        new_comp = reduce(tensor_product, rest_spaces)
-    else:
-        new_comp = composed.complementer
+    rest_spaces = [factors[i] for i in rest] + \
+        ([composed.complementer] if composed.complementer.modes else [])
+    new_comp = reduce(tensor_product, rest_spaces) if rest_spaces else composed.complementer
     matrix = w.reshape(composed.reference.dimension,
                        new_sub.dimension * new_comp.dimension)
     matrix.flags.writeable = False
     return Embedding(new_sub, new_comp, composed.reference, matrix)
+
+
+def _party_pullbacks(psi_R: StateVector, composed: Embedding,
+                     factors: Sequence[FockSpace]) -> list[np.ndarray]:
+    """V^dagger psi of a joint embedding of factors A_1 ... A_n as one (dim A_i,
+    rest) matrix per factor, columns ordered as regroup_embedding(composed,
+    factors, [i]) orders them, without building that regrouped map."""
+    dims = [f.dimension for f in factors]
+    phi = pull_back(psi_R, composed).reshape(*dims, -1)
+    return [np.moveaxis(phi, i, 0).reshape(d, -1) for i, d in enumerate(dims)]
 
 
 @dataclass(frozen=True)
@@ -280,10 +282,7 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
     dims = [s.eigenvectors[0].dimension if s.eigenvectors else 0 for s in spectra]
     if any(d == 0 for d in dims):
         raise ValueError("every subsystem needs at least one possible internal state")
-    prod = 1
-    for d in dims:
-        prod *= d
-    if prod != composed.subsystem.dimension:
+    if prod(dims) != composed.subsystem.dimension:
         raise SpaceMismatchError(
             f"spectra live on dimensions {dims}, inconsistent with dim(A) ="
             f" {composed.subsystem.dimension}"

@@ -159,7 +159,7 @@ def build_hamiltonian(space: FockSpace,
             moved, weight = mode_action(space, label, kind)
             weights.append(weight[rows])
             rows = moved[rows]
-        vals = term.coefficient * reduce(np.multiply, reversed(weights), 1.0)
+        vals = term.coefficient * reduce(np.multiply, reversed(weights), np.ones(space.dimension))
         # The term holds vals[j] at (rows[j], j) and nothing else in column j;
         # entry (j, rows[j]) is vals[rows[j]] if column rows[j] maps back to
         # row j, else zero. Entries are real, so the adjoint is the transpose.

@@ -45,8 +45,8 @@ class ModeSpec:
     charges: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if not self.label:
-            raise ValueError("mode label must be a nonempty string")
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError(f"mode label must be a nonempty string, got {self.label!r}")
         if self.statistics not in ("boson", "fermion"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
         if not isinstance(self.max_occupation, int) or self.max_occupation < 0:
@@ -492,8 +492,9 @@ def identity_embedding(space_a: FockSpace, space_b: FockSpace,
 
 def selection_isometry(reference: FockSpace,
                        groups: Sequence[tuple[FockSpace, Sequence[str]]],
-                       frozen: Mapping[str, int]) -> np.ndarray:
-    """The 0/1 map placing the product of the group spaces into the reference.
+                       frozen: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 map placing the product of the group spaces into the reference,
+    and its index map: the row each column lands in, -1 for no image.
 
     Each group is a space plus the reference labels its modes occupy, in that
     space's mode order; columns enumerate the groups' basis states A-major, in
@@ -514,10 +515,11 @@ def selection_isometry(reference: FockSpace,
         occ += placed.reshape(shape)
     occ = occ.reshape(math.prod(dims), n_modes)
     fits = (occ <= [m.max_occupation for m in reference.modes]).all(axis=1)
+    rows = np.where(fits, occ @ np.array(reference._strides, dtype=np.int64), -1)
     matrix = np.zeros((reference.dimension, len(occ)), dtype=np.complex128)
-    matrix[occ[fits] @ np.array(reference._strides, dtype=np.int64), fits] = 1.0
+    matrix[rows[fits], fits] = 1.0
     matrix.flags.writeable = False
-    return matrix
+    return matrix, rows
 
 
 def mode_partition_embedding(
@@ -563,7 +565,7 @@ def mode_partition_embedding(
 
     space_a = _sub_space(sub, subsystem_id or f"{reference.space_id}[{','.join(sub)}]")
     space_b = _sub_space(comp, complementer_id or f"{reference.space_id}[{','.join(comp)}]")
-    matrix = selection_isometry(reference, [(space_a, sub), (space_b, comp)], frozen)
+    matrix, _ = selection_isometry(reference, [(space_a, sub), (space_b, comp)], frozen)
     return Embedding(space_a, space_b, reference, matrix,
                      ModePartition(sub, comp, tuple(sorted(frozen.items()))))
 

@@ -73,24 +73,23 @@ def relational_state(psi_R: StateVector, e: Embedding, factor: Factor = "A",
     construction (symmetrized to remove roundoff), and its trace equals
     |V^dagger psi|^2, which can be smaller than one.
     """
-    return _reduce(psi_R, pull_back(psi_R, e), e, factor, resolve(tol))
+    phi = pull_back(psi_R, e)
+    if factor == "A":
+        return _reduce(psi_R, phi, e.subsystem_id, resolve(tol))
+    if factor == "B":
+        return _reduce(psi_R, phi.T, e.complementer_id, resolve(tol))
+    raise ValueError(f"factor must be 'A' or 'B', got {factor!r}")
 
 
-def _reduce(psi_R: StateVector, phi: np.ndarray, e: Embedding, factor: Factor,
+def _reduce(psi_R: StateVector, phi: np.ndarray, space_id: str,
             tol: Tolerances) -> DensityOperator:
-    """relational_state from the pulled-back state phi = V^dagger psi_R."""
+    """The reduced state phi phi^dagger on space_id of psi_R pulled back as
+    phi: rows on the kept factor, columns on everything traced out."""
     if not psi_R.is_normalized(tol):
         raise ValueError(
             f"reference state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}"
         )
-    if factor not in ("A", "B"):
-        raise ValueError(f"factor must be 'A' or 'B', got {factor!r}")
-    if factor == "A":
-        rho = phi @ phi.conj().T
-        space_id = e.subsystem_id
-    else:
-        rho = phi.T @ phi.conj()
-        space_id = e.complementer_id
+    rho = phi @ phi.conj().T
     rho = (rho + rho.conj().T) / 2.0
     trace = float(np.trace(rho).real)
     return DensityOperator(space_id=space_id, matrix=rho, trace=trace,
@@ -287,7 +286,7 @@ def check_isolated_independence(psi_R: StateVector, e: Embedding,
     the projector onto the factor extracted independently by SVD."""
     tol = resolve(tol)
     phi = pull_back(psi_R, e)
-    rho = _reduce(psi_R, phi, e, "A", tol)
+    rho = _reduce(psi_R, phi, e.subsystem_id, tol)
     eigs = np.linalg.eigvalsh(rho.matrix)[::-1]
     secondary = float(eigs[1]) if len(eigs) > 1 else 0.0
     if secondary >= tol.zero_eig:

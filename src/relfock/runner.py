@@ -25,10 +25,11 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import __version__
-from .composition import compose_embeddings, joint_distribution, regroup_embedding, \
+from .composition import _party_pullbacks, compose_embeddings, joint_distribution, \
     schmidt_decompose
 from .dynamics import evolve, trace_deficit_trajectory
-from .relational import possible_internal_states, relational_state, sample_internal_states
+from .relational import _reduce, possible_internal_states, relational_state, \
+    sample_internal_states
 from .report import Report, TaskResult, complex_matrix, complex_vector
 from .scenario import Scenario
 from .superselection import check_superselection
@@ -94,11 +95,9 @@ def _run_joint(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     parts = [scenario.embeddings[n] for n in names]
     psi = scenario.states[params["state"]]
     composed = compose_embeddings(parts, tol=tol)
-    factors = [p.subsystem for p in parts]
-    spectra = []
-    for i in range(len(parts)):
-        e_i = regroup_embedding(composed, factors, [i])
-        spectra.append(possible_internal_states(relational_state(psi, e_i, "A", tol), tol))
+    party_phis = _party_pullbacks(psi, composed, [p.subsystem for p in parts])
+    spectra = [possible_internal_states(_reduce(psi, phi, p.subsystem_id, tol), tol)
+               for p, phi in zip(parts, party_phis)]
     dist = joint_distribution(psi, composed, spectra, tol)
     return {
         "subsystems": list(dist.subsystem_ids),

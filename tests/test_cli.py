@@ -211,10 +211,13 @@ class TestCliContract:
         lambda: edited("annihilation", lambda doc: doc["states"][0].update(
             kind="random", seed=None)),
         lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0].update(terms=[1])),
+        lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][0]
+                       .update(label=["e-"])),
+        lambda: edited("product", lambda doc: doc["spaces"][0]["modes"][1].update(label=5)),
     ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
             "name-as-list", "charges-list", "subsystem-modes-int", "complementer-modes-int",
             "frozen-null", "occupations-int", "index-null", "seed-null",
-            "term-not-object"])
+            "term-not-object", "label-list", "label-int"])
     def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
         path = tmp_path / "scenario.json"
         path.write_bytes(scenario_bytes())

@@ -2,11 +2,14 @@
 distributions."""
 from __future__ import annotations
 
+import json
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import relfock.composition
+import relfock.runner
 from relfock import (
     EmbeddingValidationError,
     ModeSpec,
@@ -14,6 +17,7 @@ from relfock import (
     basis_state,
     bell_state,
     build_fock_space,
+    charge_values,
     compose_embeddings,
     identity_embedding,
     joint_distribution,
@@ -23,10 +27,13 @@ from relfock import (
     random_state_vector,
     regroup_embedding,
     relational_state,
+    run_scenario,
     schmidt_decompose,
     tensor_product,
     validate_embedding,
 )
+from relfock.report import complex_vector
+from relfock.scenario import Scenario, Task
 
 from conftest import qudit_space, random_pair
 from test_relational import deficient_bell_pair
@@ -268,3 +275,78 @@ class TestJointDistribution:
         marg = dist.marginalize(1)
         assert marg.subsystem_ids == dist.subsystem_ids[:1]
         np.testing.assert_allclose(marg.probabilities, dist.probabilities.sum(axis=1))
+
+
+def random_joint_case(seed: int):
+    """2-3 disjoint mode-partition parties, listed in random order, of a
+    reference of 4-6 charged fermions and bosons with some modes frozen, and
+    a random state (even seeds) or a random electric-charge eigenstate with
+    weight in the joint image (odd seeds)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    modes = [ModeSpec(f"f{i}", "fermion", 1, {"electric": int(rng.choice([-1, 1]))})
+             if rng.random() < 0.5 else ModeSpec(f"b{i}", "boson", int(rng.integers(1, 3)))
+             for i in range(int(rng.integers(4, 7)))]
+    ref = build_fock_space(modes, f"R{seed}")
+    labels = [str(l) for l in rng.permutation(ref.mode_labels)]
+    n_parties = int(rng.integers(2, 4))
+    n_frozen = int(rng.integers(0, len(labels) - n_parties + 1))
+    pool = {l: int(rng.integers(0, ref.modes[ref.mode_index(l)].max_occupation + 1))
+            for l in labels[:n_frozen]}
+    free = labels[n_frozen:]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, len(free) + 1), n_parties,
+                                             replace=False))
+    subs = [free[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
+    parts = [mode_partition_embedding(ref, sub, frozen={l: n for l, n in pool.items()
+                                                         if rng.random() < 0.7})
+             for sub in subs]
+    parts = [parts[i] for i in rng.permutation(n_parties)]
+    if seed % 2 == 0:
+        return random_state_vector(ref, seed), parts
+    occ = ref.basis_occupations
+    inside = np.all(occ[:, [ref.mode_index(l) for l in pool]] == list(pool.values()), axis=1)
+    charges = charge_values(ref, "electric")
+    sector = charges == charges[rng.choice(np.flatnonzero(inside))]
+    amps = np.where(sector, rng.standard_normal(ref.dimension)
+                    + 1j * rng.standard_normal(ref.dimension), 0.0)
+    return StateVector(ref.space_id, amps / np.linalg.norm(amps)), parts
+
+
+def regrouped_joint_payload(psi, parts) -> dict:
+    """The joint task's result built through one regrouped embedding per party."""
+    joint = compose_embeddings(parts)
+    spectra = spectra_for(psi, joint, [p.subsystem for p in parts])
+    dist = joint_distribution(psi, joint, spectra)
+    return {
+        "subsystems": list(dist.subsystem_ids),
+        "index_ranges": list(dist.index_ranges),
+        "probabilities": dist.clamped_probabilities().tolist(),
+        "total": dist.total,
+        "max_imag": dist.max_imag,
+        "spectra": [{
+            "space": s.space_id,
+            "eigenvalues": list(s.eigenvalues),
+            "annihilation_probability": s.annihilation_probability,
+            "degeneracy_groups": [list(g) for g in s.degeneracy_groups],
+            "dropped": s.dropped_count,
+            "eigenvectors": [complex_vector(v.amplitudes) for v in s.eigenvectors],
+        } for s in spectra],
+    }
+
+
+class TestJointTask:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_regrouped_reference_without_regrouping(self, seed, monkeypatch):
+        psi, parts = random_joint_case(seed)
+        expected = json.dumps(regrouped_joint_payload(psi, parts), sort_keys=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the joint task built a regrouped embedding")
+        monkeypatch.setattr(relfock.composition, "regroup_embedding", refuse)
+        monkeypatch.setattr(relfock.runner, "regroup_embedding", refuse, raising=False)
+        names = [f"part{i}" for i in range(len(parts))]
+        scenario = Scenario(spaces={}, states={"psi": psi}, embeddings=dict(zip(names, parts)),
+                            hamiltonians={}, digest="",
+                            tasks=(Task("joint", "joint", {"state": "psi", "embeddings": names}),))
+        task = run_scenario(scenario).tasks[0]
+        assert task.status == "ok", task.error
+        assert json.dumps(task.result, sort_keys=True) == expected

@@ -259,6 +259,19 @@ class TestKroneckerOracle:
         assert np.array_equal(build_hamiltonian(space, terms).matrix,
                               _kron_hamiltonian(space, terms))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_empty_factor_term_is_coefficient_times_identity(self, seed):
+        space, terms = _random_terms(seed)
+        coefficient = float(np.random.Generator(np.random.PCG64(seed)).normal())
+        alone = [(coefficient, ())]
+        assert np.array_equal(build_hamiltonian(space, alone).matrix,
+                              coefficient * np.eye(space.dimension))
+        assert np.array_equal(build_hamiltonian(space, alone).matrix,
+                              _kron_hamiltonian(space, alone))
+        mixed = terms[:1] + alone + terms[1:]
+        assert np.array_equal(build_hamiltonian(space, mixed).matrix,
+                              _kron_hamiltonian(space, mixed))
+
     @pytest.mark.parametrize("seed", range(60))
     def test_mode_operators_equal(self, seed):
         # Only the sign of zero entries may differ, which array_equal ignores.

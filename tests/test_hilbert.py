@@ -6,10 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+import relfock.composition
+import relfock.hilbert
 from relfock import (
+    EmbeddingValidationError,
     ModeSpec,
     SpaceMismatchError,
     StateVector,
+    Tolerances,
     basis_state,
     bell_state,
     build_fock_space,
@@ -328,23 +332,67 @@ class TestSelectionMapOracle:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_composition_matches_oracle(self, seed):
-        # Parts are drawn independently, so they often overlap (claim a label
-        # twice, or claim a label another part froze); validate=False keeps
-        # those defective maps, zero columns included.
-        rng = np.random.Generator(np.random.PCG64(1000 + seed))
-        ref = _random_reference(rng)
-        pool = _random_frozen(rng, ref, [l for l in ref.mode_labels if rng.random() < 0.4])
-        parts = []
-        for _ in range(int(rng.integers(1, 4))):
-            frozen = {l: n for l, n in pool.items() if rng.random() < 0.7}
-            free = [l for l in rng.permutation(ref.mode_labels) if l not in frozen]
-            sub = free[:int(rng.integers(0, len(free) + 1))]
-            parts.append(mode_partition_embedding(ref, sub, frozen=frozen))
+        ref, parts = _random_composition(seed)
         composed = compose_embeddings(parts, validate=False)
         frozen = {l: n for p in parts for l, n in p.partition.frozen}
         groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
         groups.append((composed.complementer, composed.partition.complementer_labels))
         assert np.array_equal(composed.isometry, _selection_oracle(ref, groups, frozen))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_composition_validity_matches_gram_check(self, seed, monkeypatch):
+        _, parts = _random_composition(seed)
+        composed = compose_embeddings(parts, validate=False)
+        gram = validate_embedding(composed)
+        loose = Tolerances(herm=2.0)
+        assert validate_embedding(composed, loose).passed
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compose_embeddings built a Gram matrix")
+        monkeypatch.setattr(relfock.hilbert, "validate_embedding", refuse)
+        monkeypatch.setattr(relfock.composition, "validate_embedding", refuse, raising=False)
+        if gram.passed:
+            compose_embeddings(parts)
+        else:
+            with pytest.raises(EmbeddingValidationError) as err:
+                compose_embeddings(parts)
+            assert err.value.report == gram
+        # The Gram check passes any 0/1 map at a tolerance above 1, overlaps included.
+        assert np.array_equal(compose_embeddings(parts, tol=loose).isometry, composed.isometry)
+
+    def test_shared_rows_without_missing_image(self):
+        # Parts built on a space with the reference's id and dimension but
+        # smaller cutoffs: both claim mode a, every sum fits, so two columns
+        # share a row while every column has an image.
+        ref = build_fock_space([ModeSpec("a", "boson", 3), ModeSpec("z", "boson", 0)], "R")
+        other = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        parts = [mode_partition_embedding(ref, ["z"]),
+                 mode_partition_embedding(other, ["a"]),
+                 mode_partition_embedding(other, ["a"])]
+        composed = compose_embeddings(parts, validate=False)
+        assert np.abs(composed.isometry).sum(axis=0).min() == 1.0
+        gram = validate_embedding(composed)
+        assert not gram.passed and gram.max_deviation == 1.0
+        with pytest.raises(EmbeddingValidationError) as err:
+            compose_embeddings(parts)
+        assert err.value.report == gram
+
+
+def _random_composition(seed):
+    """A reference and 1-3 mode-partition parts drawn independently, so they
+    often overlap (claim a label twice, or claim a label another part froze);
+    compose_embeddings(parts, validate=False) keeps those defective maps, zero
+    columns included."""
+    rng = np.random.Generator(np.random.PCG64(1000 + seed))
+    ref = _random_reference(rng)
+    pool = _random_frozen(rng, ref, [l for l in ref.mode_labels if rng.random() < 0.4])
+    parts = []
+    for _ in range(int(rng.integers(1, 4))):
+        frozen = {l: n for l, n in pool.items() if rng.random() < 0.7}
+        free = [l for l in rng.permutation(ref.mode_labels) if l not in frozen]
+        sub = free[:int(rng.integers(0, len(free) + 1))]
+        parts.append(mode_partition_embedding(ref, sub, frozen=frozen))
+    return ref, parts
 
 
 class TestProjectOntoImage:

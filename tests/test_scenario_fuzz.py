@@ -1,0 +1,53 @@
+"""Fuzzing the scenario loader: a bundled scenario with one or two JSON values
+replaced by ill-typed or out-of-range ones either loads or raises
+ScenarioError, which the CLI reports with exit code 2 and no traceback."""
+from __future__ import annotations
+
+import copy
+import json
+from importlib import resources
+
+from hypothesis import given, settings, strategies as st
+
+from relfock import ScenarioError, load_scenario
+
+BUNDLED = ("bell", "product", "annihilation")
+
+# Values of every JSON type, plus numbers the loader must range-check.
+# MAX_DIMENSION stops a huge max_occupation before any space is enumerated.
+POOL = (None, True, False, 0, 1, -1, 1.5, "", "x", [], [1], ["a"], {}, {"a": 1}, 10**30)
+
+
+def _document(name: str) -> dict:
+    return json.loads((resources.files("relfock") / "scenarios" / f"{name}.json").read_bytes())
+
+
+def _positions(node, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _positions(child, prefix + (key,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(name=st.sampled_from(BUNDLED), data=st.data())
+def test_edited_scenario_loads_or_raises_scenario_error(tmp_path_factory, name, data):
+    doc = _document(name)
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        path = data.draw(st.sampled_from(list(_positions(doc))), label="position")
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(POOL), label="value"))
+    scenario = tmp_path_factory.getbasetemp() / "fuzzed-scenario.json"
+    scenario.write_text(json.dumps(doc))
+    try:
+        load_scenario(scenario)
+    except ScenarioError:
+        pass
