@@ -26,7 +26,10 @@ from .hilbert import (
     ModeSpec,
     StateVector,
     compose_space_id,
+    index_map_deviation,
+    permute_columns,
     pull_back,
+    push_forward,
     selection_isometry,
     tensor_product,
 )
@@ -97,7 +100,7 @@ def schmidt_decompose(psi_R: StateVector, e: Embedding,
     a_cols = [a_cols[j] for j in order]
     b_rows = [b_rows[j] for j in order]
 
-    residual = psi_R.amplitudes - e.isometry @ phi.reshape(-1)
+    residual = psi_R.amplitudes - push_forward(phi.reshape(-1), e)
     res_norm_sq = float(np.vdot(residual, residual).real)
     return SchmidtDecomposition(
         coefficients=tuple(float(x) for x in s),
@@ -170,9 +173,9 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
         complementer = FockSpace.trivial(f"{reference.space_id}[]")
 
     groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
-    matrix, rows = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
+    rows = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
     if validate:
-        dev = 0.0 if rows.min() >= 0 and np.unique(rows).size == rows.size else 1.0
+        dev = index_map_deviation(rows)
         if dev >= tol.herm:
             raise EmbeddingValidationError(
                 "composed map is not an isometry (overlapping or inconsistent"
@@ -180,7 +183,7 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
                 report=EmbeddingValidation(False, dev, tol.herm),
             )
     partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
-    return Embedding(subsystem, complementer, reference, matrix, partition)
+    return Embedding(subsystem, complementer, reference, partition=partition, rows=rows)
 
 
 def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
@@ -188,7 +191,7 @@ def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
     """Derive from a joint embedding of factors A_1 ... A_n the embedding of
     the kept factors against everything else.
 
-    The isometry is the same matrix with its column multi-index permuted, so
+    The map is the same one with its column multi-index permuted, so
     relational states of the regrouped embedding are exactly consistent with
     the joint one.
     """
@@ -205,18 +208,13 @@ def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
     rest = [i for i in range(len(factors)) if i not in keep]
 
     full_dims = dims + [composed.complementer.dimension]
-    w = composed.isometry.reshape([composed.reference.dimension] + full_dims)
-    perm = [0] + [i + 1 for i in keep] + [i + 1 for i in rest] + [len(full_dims)]
-    w = np.transpose(w, perm)
+    axes = keep + rest + [len(dims)]
 
     new_sub = reduce(tensor_product, (factors[i] for i in keep))
     rest_spaces = [factors[i] for i in rest] + \
         ([composed.complementer] if composed.complementer.modes else [])
     new_comp = reduce(tensor_product, rest_spaces) if rest_spaces else composed.complementer
-    matrix = w.reshape(composed.reference.dimension,
-                       new_sub.dimension * new_comp.dimension)
-    matrix.flags.writeable = False
-    return Embedding(new_sub, new_comp, composed.reference, matrix)
+    return permute_columns(composed, full_dims, axes, new_sub, new_comp)
 
 
 def _party_pullbacks(psi_R: StateVector, composed: Embedding,

@@ -25,7 +25,7 @@ from .hilbert import (
     charge_values,
     mode_action,
     pull_back,
-    read_only_complex,
+    read_only,
 )
 from .tolerances import Tolerances, resolve
 
@@ -61,7 +61,7 @@ class HamiltonianSpec:
     matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", read_only_complex(self.matrix))
+        object.__setattr__(self, "matrix", read_only(self.matrix))
 
     @property
     def space_id(self) -> str:

@@ -4,8 +4,16 @@ A physical system is a finite-dimensional Hilbert space spanned by occupation
 number states of a fixed list of modes. Each mode carries statistics, an
 occupation cutoff and integer charges per particle. Composite systems are
 tensor products; a subsystem relation A (x) B <= R is represented explicitly
-by an isometry from the product space into the reference space, so the image
+by an isometry V from the product space into the reference space, so the image
 may be a proper subspace of R.
+
+An isometry is held in one of two forms. A 0/1 map -- a mode partition, a
+composition or regrouping of mode partitions, an identity embedding -- is its
+column -> row index map: pulling a state back is a gather of one amplitude per
+column and validity is read off the rows, in O(dim) time and memory, with no
+dim(R) x dim(A)*dim(B) matrix. Any other map (an explicit isometry) is that
+dense matrix. Only this module reads the form; other modules go through
+pull_back, push_forward, permute_columns and column_charges.
 
 Index conventions, used everywhere without exception:
   * basis states are occupation tuples enumerated lexicographically, first
@@ -18,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -29,14 +38,21 @@ CHARGE_KINDS = ("electric", "baryon", "lepton")
 
 Statistics = Literal["boson", "fermion"]
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class ModeSpec:
     """One mode: a label, statistics, an occupation cutoff and its charges.
 
     Fermion modes always have max_occupation 1; anything else is rejected
-    rather than clamped. Charges are integers per particle, keyed by one of
-    CHARGE_KINDS; omitted kinds count as zero.
+    rather than clamped. Charges are integers per particle that fit in int64,
+    keyed by one of CHARGE_KINDS; omitted kinds count as zero. Booleans are
+    not integers here.
     """
 
     label: str
@@ -49,7 +65,7 @@ class ModeSpec:
             raise ValueError(f"mode label must be a nonempty string, got {self.label!r}")
         if self.statistics not in ("boson", "fermion"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
-        if not isinstance(self.max_occupation, int) or self.max_occupation < 0:
+        if not _is_integer(self.max_occupation) or self.max_occupation < 0:
             raise ValueError(f"mode {self.label!r}: max_occupation must be a nonnegative integer")
         if self.statistics == "fermion" and self.max_occupation != 1:
             raise ValueError(
@@ -63,8 +79,9 @@ class ModeSpec:
         for kind, value in charges:
             if kind not in CHARGE_KINDS:
                 raise ValueError(f"mode {self.label!r}: unknown charge kind {kind!r}")
-            if not isinstance(value, int):
-                raise ValueError(f"mode {self.label!r}: charge {kind!r} must be an integer")
+            if not _is_integer(value) or not INT64_MIN <= value <= INT64_MAX:
+                raise ValueError(f"mode {self.label!r}: charge {kind!r} must be an integer"
+                                 f" in [{INT64_MIN}, {INT64_MAX}], got {value!r}")
         object.__setattr__(self, "charges", charges)
 
     @property
@@ -83,7 +100,8 @@ class FockSpace:
 
     dimension = prod(max_occupation + 1); the basis enumeration is the
     lexicographic order of occupation tuples and is a bijection onto
-    [0, dimension).
+    [0, dimension). Every basis state's total charge of each kind must fit in
+    int64, so charge_values is exact.
     """
 
     space_id: str
@@ -97,6 +115,14 @@ class FockSpace:
         labels = [m.label for m in self.modes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in space {self.space_id!r}: {labels}")
+        reach: dict[str, int] = {}
+        for m in self.modes:
+            for kind, q in m.charges:
+                reach[kind] = reach.get(kind, 0) + abs(q) * m.max_occupation
+        for kind, r in reach.items():
+            if r > INT64_MAX:
+                raise ValueError(f"total {kind} charge in space {self.space_id!r} can reach"
+                                 f" {r}, outside int64")
         dims = [m.local_dimension for m in self.modes]
         dimension = 1
         for d in dims:
@@ -165,12 +191,12 @@ def build_fock_space(modes: Iterable[ModeSpec], space_id: str | None = None) -> 
     return FockSpace(space_id=space_id, modes=modes)
 
 
-def read_only_complex(values) -> np.ndarray:
-    """values as a read-only complex128 array, copied only if it is not one yet."""
-    if isinstance(values, np.ndarray) and values.dtype == np.complex128 \
+def read_only(values, dtype=np.complex128) -> np.ndarray:
+    """values as a read-only array of dtype, copied only if it is not one yet."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype \
             and not values.flags.writeable:
         return values
-    mat = np.array(values, dtype=np.complex128)
+    mat = np.array(values, dtype=dtype)
     mat.flags.writeable = False
     return mat
 
@@ -185,7 +211,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = read_only_complex(self.amplitudes)
+        amps = read_only(self.amplitudes)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a one-dimensional vector")
         object.__setattr__(self, "amplitudes", amps)
@@ -273,7 +299,7 @@ class LinearOperator:
     hermitian: bool = False
 
     def __post_init__(self):
-        mat = read_only_complex(self.matrix)
+        mat = read_only(self.matrix)
         if mat.ndim != 2:
             raise ValueError("operator matrix must be two-dimensional")
         object.__setattr__(self, "matrix", mat)
@@ -388,31 +414,63 @@ class ModePartition:
     frozen: tuple[tuple[str, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Embedding:
     """An isometry V realizing subsystem (x) complementer <= reference.
 
     V has shape dim(R) x (dim(A) * dim(B)); column a * dim_B + b is the image
     of basis state |a> (x) |b>. The image may be a proper subspace of R.
+
+    Give exactly one of two forms. ``rows`` is the index map of a 0/1 map:
+    column j is the basis vector of reference row rows[j], or zero where
+    rows[j] is -1 (int64, read-only). ``isometry`` is an explicit dense
+    matrix; for an index map it is built from the rows on first access and
+    kept, which the library itself never does. Embeddings compare by
+    identity: two maps over the same spaces are different embeddings.
     """
 
     subsystem: FockSpace
     complementer: FockSpace
     reference: FockSpace
-    isometry: np.ndarray
-    partition: ModePartition | None = None
+    partition: ModePartition | None
+    rows: np.ndarray | None
 
-    def __post_init__(self):
-        mat = read_only_complex(self.isometry)
-        expected = (self.reference.dimension, self.image_dimension)
-        if mat.shape != expected:
-            raise SpaceMismatchError(
-                f"isometry shape {mat.shape} does not match dim(R) x dim(A)*dim(B)"
-                f" = {expected}"
-            )
-        # dim(A)*dim(B) > dim(R) is not rejected here: such a map exists but can
-        # never be an isometry, so validate_embedding reports the failure.
-        object.__setattr__(self, "isometry", mat)
+    def __init__(self, subsystem: FockSpace, complementer: FockSpace, reference: FockSpace,
+                 isometry: np.ndarray | None = None, partition: ModePartition | None = None,
+                 *, rows: np.ndarray | None = None):
+        for name, value in (("subsystem", subsystem), ("complementer", complementer),
+                            ("reference", reference), ("partition", partition)):
+            object.__setattr__(self, name, value)
+        if (isometry is None) == (rows is None):
+            raise ValueError("an embedding takes exactly one of an isometry and an index map")
+        expected = (reference.dimension, self.image_dimension)
+        if rows is not None:
+            rows = read_only(rows, np.int64)
+            if rows.shape != expected[1:] or rows.min() < -1 or rows.max() >= expected[0]:
+                raise SpaceMismatchError(
+                    f"index map of shape {rows.shape} must send dim(A)*dim(B) ="
+                    f" {expected[1]} columns to rows of dim(R) = {expected[0]} or -1"
+                )
+        else:
+            mat = read_only(isometry)
+            if mat.shape != expected:
+                raise SpaceMismatchError(
+                    f"isometry shape {mat.shape} does not match dim(R) x dim(A)*dim(B)"
+                    f" = {expected}"
+                )
+            # dim(A)*dim(B) > dim(R) is not rejected here: such a map exists but
+            # can never be an isometry, so validate_embedding reports the failure.
+            object.__setattr__(self, "isometry", mat)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """V as a read-only dense matrix."""
+        has = self.rows >= 0
+        mat = np.zeros((self.reference.dimension, self.rows.size), dtype=np.complex128)
+        mat[self.rows[has], has] = 1.0
+        mat.flags.writeable = False
+        return mat
 
     @property
     def image_dimension(self) -> int:
@@ -441,9 +499,18 @@ class EmbeddingValidation:
 def validate_embedding(e: Embedding, tol: Tolerances | None = None) -> EmbeddingValidation:
     """Check V^dagger V = identity on A (x) B; report the max deviation."""
     tol = resolve(tol)
-    gram = e.isometry.conj().T @ e.isometry
-    dev = float(np.abs(gram - np.eye(e.image_dimension)).max())
+    if e.rows is not None:
+        dev = index_map_deviation(e.rows)
+    else:
+        gram = e.isometry.conj().T @ e.isometry
+        dev = float(np.abs(gram - np.eye(e.image_dimension)).max())
     return EmbeddingValidation(passed=dev < tol.herm, max_deviation=dev, tolerance=tol.herm)
+
+
+def index_map_deviation(rows: np.ndarray) -> float:
+    """max|V^dagger V - 1| of a 0/1 map, read off its index map: 1.0 if a
+    column has no image or shares its row with another column, else 0.0."""
+    return 0.0 if rows.min() >= 0 and np.unique(rows).size == rows.size else 1.0
 
 
 class ImageProjection(NamedTuple):
@@ -455,9 +522,52 @@ def pull_back(psi_R: StateVector, e: Embedding) -> np.ndarray:
     """V^dagger psi as a (dim A, dim B) matrix: the coordinates of a reference
     state on the embedded product basis |a> (x) |b>."""
     psi_R.require_space(e.reference_id, e.reference.dimension)
-    # conj(psi^dagger V) equals V^dagger psi without a conjugated copy of V.
-    component = np.conj(psi_R.amplitudes.conj() @ e.isometry)
+    amps = psi_R.amplitudes
+    if e.rows is None:
+        # conj(psi^dagger V) equals V^dagger psi without a conjugated copy of V.
+        component = np.conj(amps.conj() @ e.isometry)
+    else:
+        # One amplitude per column, with its zeros signed as the dense product
+        # conj(conj(psi_r) * 1 + exact zeros) signs them.
+        component = np.conj(np.conj(np.where(e.rows >= 0, amps[e.rows], 0.0)) + 0.0)
     return component.reshape(e.subsystem.dimension, e.complementer.dimension)
+
+
+def push_forward(component: np.ndarray, e: Embedding) -> np.ndarray:
+    """V phi: the reference-space amplitudes of phi, given on A (x) B as a
+    flat vector in column order."""
+    if e.rows is None:
+        return e.isometry @ component
+    has = e.rows >= 0
+    image = np.zeros(e.reference.dimension, dtype=np.complex128)
+    # Adding to +0 signs zeros as V phi does; a shared row sums its columns.
+    np.add.at(image, e.rows[has], component[has])
+    return image
+
+
+def permute_columns(e: Embedding, shape: Sequence[int], axes: Sequence[int],
+                    subsystem: FockSpace, complementer: FockSpace) -> Embedding:
+    """The same map with its column multi-index, of the given shape,
+    transposed by axes: an embedding of subsystem (x) complementer, whose
+    product basis enumerates the permuted multi-index A-major."""
+    if e.rows is not None:
+        rows = e.rows.reshape(shape).transpose(axes).reshape(-1)
+        return Embedding(subsystem, complementer, e.reference, rows=rows)
+    d_r = e.reference.dimension
+    w = e.isometry.reshape([d_r, *shape]).transpose([0] + [a + 1 for a in axes])
+    matrix = w.reshape(d_r, subsystem.dimension * complementer.dimension)
+    matrix.flags.writeable = False
+    return Embedding(subsystem, complementer, e.reference, matrix)
+
+
+def column_charges(e: Embedding, kind: str) -> np.ndarray | None:
+    """Reference charge of each column of a 0/1 map, read off its index map
+    (the reference's lowest charge for a zero column); None for an explicit
+    isometry, whose columns need not lie in one charge sector."""
+    if e.rows is None:
+        return None
+    values = charge_values(e.reference, kind)
+    return np.where(e.rows >= 0, values[e.rows], values.min())
 
 
 def project_onto_image(psi_R: StateVector, e: Embedding,
@@ -487,21 +597,21 @@ def identity_embedding(space_a: FockSpace, space_b: FockSpace,
         raise SpaceMismatchError(
             f"identity embedding needs dim(R) = dim(A)*dim(B); got {reference.dimension} != {dim}"
         )
-    return Embedding(space_a, space_b, reference, np.eye(dim, dtype=np.complex128), partition)
+    return Embedding(space_a, space_b, reference, partition=partition, rows=np.arange(dim))
 
 
 def selection_isometry(reference: FockSpace,
                        groups: Sequence[tuple[FockSpace, Sequence[str]]],
-                       frozen: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The 0/1 map placing the product of the group spaces into the reference,
-    and its index map: the row each column lands in, -1 for no image.
+                       frozen: Mapping[str, int]) -> np.ndarray:
+    """The index map of the 0/1 map placing the product of the group spaces
+    into the reference: the row each column lands in, -1 for no image.
 
     Each group is a space plus the reference labels its modes occupy, in that
     space's mode order; columns enumerate the groups' basis states A-major, in
     group order. Every reference mode starts at its frozen occupation (zero
     if not frozen) and each group adds its occupations, so labels claimed by
     more than one group accumulate. A column whose occupations pass a cutoff
-    has no image and stays zero, which makes the map fail validation.
+    has no image (a zero column), which makes the map fail validation.
     """
     n_modes = len(reference.modes)
     dims = [space.dimension for space, _ in groups]
@@ -516,10 +626,8 @@ def selection_isometry(reference: FockSpace,
     occ = occ.reshape(math.prod(dims), n_modes)
     fits = (occ <= [m.max_occupation for m in reference.modes]).all(axis=1)
     rows = np.where(fits, occ @ np.array(reference._strides, dtype=np.int64), -1)
-    matrix = np.zeros((reference.dimension, len(occ)), dtype=np.complex128)
-    matrix[rows[fits], fits] = 1.0
-    matrix.flags.writeable = False
-    return matrix, rows
+    rows.flags.writeable = False
+    return rows
 
 
 def mode_partition_embedding(
@@ -565,9 +673,10 @@ def mode_partition_embedding(
 
     space_a = _sub_space(sub, subsystem_id or f"{reference.space_id}[{','.join(sub)}]")
     space_b = _sub_space(comp, complementer_id or f"{reference.space_id}[{','.join(comp)}]")
-    matrix, _ = selection_isometry(reference, [(space_a, sub), (space_b, comp)], frozen)
-    return Embedding(space_a, space_b, reference, matrix,
-                     ModePartition(sub, comp, tuple(sorted(frozen.items()))))
+    rows = selection_isometry(reference, [(space_a, sub), (space_b, comp)], frozen)
+    return Embedding(space_a, space_b, reference,
+                     partition=ModePartition(sub, comp, tuple(sorted(frozen.items()))),
+                     rows=rows)
 
 
 def embedding_from_isometry(

@@ -67,8 +67,9 @@ from .hilbert import (
 from .tolerances import Tolerances, resolve
 
 SCENARIO_SCHEMA = "relfock.scenario/1"
-# Largest space a scenario may declare: one D x D complex128 matrix (a
-# Hamiltonian, a dense isometry) at this dimension takes 4 GiB.
+# Largest space a scenario may declare: one D x D complex128 matrix at this
+# dimension (a Hamiltonian, or an explicit isometry onto a product of the same
+# dimension) takes 4 GiB. Mode partitions are index maps of 8 bytes per column.
 MAX_DIMENSION = 2 ** 14
 
 
@@ -92,23 +93,52 @@ class Scenario:
 
 
 def parse_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, list) and len(value) == 2 \
+                and all(isinstance(x, (int, float)) for x in value):
+            return complex(value[0], value[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _parse_numeric(values: list, ndim: int) -> np.ndarray | None:
+    """values as a complex array of ndim dimensions, when it is a nonempty
+    rectangular nest of numbers (bare reals, or [re, im] pairs along one more
+    axis), which is exactly what parse_complex accepts entry by entry; None for
+    anything else, including strings numpy would convert."""
+    try:
+        arr = np.array(values)
+    except (ValueError, OverflowError):  # ragged nests, integers too large for a float
+        return None
+    if arr.size == 0 or arr.dtype.kind not in "biuf":
+        return None
+    if arr.ndim == ndim:
+        return arr.astype(np.complex128)
+    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+        # [re, im] pairs are the memory layout of complex128: no arithmetic
+        # on the parts, so signed zeros survive as complex(re, im) keeps them.
+        return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+    return None
 
 
 def _complex_vector(values: Any, where: str) -> np.ndarray:
     if not isinstance(values, list):
         raise ScenarioError(f"{where}: expected a list of complex numbers")
+    fast = _parse_numeric(values, 1)
+    if fast is not None:
+        return fast
     return np.array([parse_complex(v, f"{where}[{i}]") for i, v in enumerate(values)])
 
 
 def _complex_matrix(values: Any, where: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise ScenarioError(f"{where}: expected a nonempty list of rows")
+    fast = _parse_numeric(values, 2)
+    if fast is not None:
+        return fast
     return np.stack([_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(values)])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChargeCompatibilityError
-from .hilbert import Embedding, FockSpace, StateVector, charge_values
+from .hilbert import Embedding, FockSpace, StateVector, charge_values, column_charges
 from .relational import relational_state
 from .tolerances import Tolerances, resolve
 
@@ -86,10 +86,13 @@ class SuperselectionReport:
     tolerance: float
 
 
-def _column_sectors(e: Embedding, ref_sectors: SectorDecomposition,
-                    tol: Tolerances) -> np.ndarray:
+def _column_sectors(e: Embedding, kind: str, tol: Tolerances) -> np.ndarray:
     """Reference-space sector of every embedding column, or raise if any
-    column straddles sectors."""
+    column straddles sectors. A zero column counts as the lowest sector."""
+    charges = column_charges(e, kind)
+    if charges is not None:
+        return charges
+    ref_sectors = sector_decomposition(e.reference, kind)
     weights = np.abs(e.isometry) ** 2
     n_cols = weights.shape[1]
     col_norm = weights.sum(axis=0)
@@ -115,8 +118,7 @@ def check_embedding_charge_compatibility(e: Embedding, kind: str,
     in distinct sectors. Additivity then forces block-diagonal reductions of
     charge-eigenstate references."""
     tol = resolve(tol)
-    ref_sectors = sector_decomposition(e.reference, kind)
-    col_charge = _column_sectors(e, ref_sectors, tol)
+    col_charge = _column_sectors(e, kind, tol)
     q_a = charge_values(e.subsystem, kind)
     q_b = charge_values(e.complementer, kind)
     totals = (q_a[:, None] + q_b[None, :]).reshape(-1)

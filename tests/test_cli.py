@@ -111,6 +111,70 @@ class TestLoadScenario:
             assert scenario.tasks
 
 
+def _per_element(values, where, matrix):
+    """The entry-by-entry parse: parse_complex on every number or pair."""
+    if matrix:
+        if not isinstance(values, list) or not values:
+            raise ScenarioError(f"{where}: expected a nonempty list of rows")
+        return np.stack([_per_element(row, f"{where}[{i}]", False)
+                         for i, row in enumerate(values)])
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where}: expected a list of complex numbers")
+    return np.array([relfock.scenario.parse_complex(v, f"{where}[{i}]")
+                     for i, v in enumerate(values)])
+
+
+def _parsed(parse, *args):
+    try:
+        out = parse(*args)
+    except (ScenarioError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+VECTORS = [
+    [1, 2.5, -0.0, 1e300], [[1, 2], [-0.0, 0.0], [0.0, -0.0]], [True, False, 2],
+    [[True, 1.5]], [1, [2, 3]], [[2, 3], 1], ["1", 2], ["1"], [None], [1, None], [[1, "2"]],
+    [[1, 2, 3]], [[1]], [[]], [], [{}], [[None, 1]], [2**63], [2**63, -1], [2**64 + 1],
+    [2**53 + 1, 0.5], [-2**63 - 1], [[2**53 + 1, -3]], [10**400], [[10**400, 0]],
+    [float("nan"), float("inf")], "12", None, 5,
+]
+MATRICES = [
+    [[1, 2], [3, 4]], [[[1, 2]], [[3, -0.0]]], [[[1, 2], [3, 4]]], [[1, 2], [3]],
+    [[1, [2, 3]], [4, 5]], [[True]], [["1"]], [[None]], [1, 2], [[]], [[[1, 2, 3]]], [],
+    [[[1, 2], 3]], [[1.5, 2**63]], [[[True, False]], [[0, 1]]], "m", [[1, 2], "ab"],
+]
+
+
+class TestComplexParse:
+    """The whole-array parse of amplitudes and matrices gives what parse_complex
+    gives entry by entry, bit for bit, and the same located error."""
+
+    @pytest.mark.parametrize("values", VECTORS, ids=range(len(VECTORS)))
+    def test_vector_matches_per_element_parse(self, values):
+        assert _parsed(relfock.scenario._complex_vector, values, "v") \
+            == _parsed(_per_element, values, "v", False)
+
+    @pytest.mark.parametrize("values", MATRICES, ids=range(len(MATRICES)))
+    def test_matrix_matches_per_element_parse(self, values):
+        assert _parsed(relfock.scenario._complex_matrix, values, "m") \
+            == _parsed(_per_element, values, "m", True)
+
+    def test_located_error_inside_a_matrix(self):
+        rows = [[[0.5, 0.0]] * 6 for _ in range(4)]
+        rows[3][5] = [0.5, "0"]
+        with pytest.raises(ScenarioError, match=r"m\[3\]\[5\]: expected a number"):
+            relfock.scenario._complex_matrix(rows, "m")
+
+    def test_numeric_nests_take_the_whole_array_parse(self, monkeypatch):
+        def refuse(value, where):
+            raise AssertionError(f"{where} parsed entry by entry")
+        monkeypatch.setattr(relfock.scenario, "parse_complex", refuse)
+        assert relfock.scenario._complex_vector([[1, 2], [3, -0.0]], "v").shape == (2,)
+        assert relfock.scenario._complex_matrix([[[1, 2]] * 3] * 2, "m").shape == (2, 3)
+        assert relfock.scenario._complex_matrix([[1, True]], "m").shape == (1, 2)
+
+
 class TestRunScenario:
     def test_bell_spectrum_in_report(self):
         scenario = load_scenario(scenario_path("bell"))
@@ -214,10 +278,24 @@ class TestCliContract:
         lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][0]
                        .update(label=["e-"])),
         lambda: edited("product", lambda doc: doc["spaces"][0]["modes"][1].update(label=5)),
+        lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][0]["charges"]
+                       .update(electric=10**30)),
+        lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][0]["charges"]
+                       .update(electric=-2**63 - 1)),
+        lambda: edited("annihilation", lambda doc: [m["charges"].update(electric=2**62)
+                                                    for m in doc["spaces"][0]["modes"][:2]]),
+        lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][0]["charges"]
+                       .update(lepton=True)),
+        lambda: edited("annihilation", lambda doc: doc["spaces"][0]["modes"][2]
+                       .update(max_occupation=True)),
+        lambda: edited("annihilation", lambda doc: doc["states"].__setitem__(
+            0, {"name": "pair", "space": "U", "amplitudes": [10**400] + [0] * 7})),
     ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
             "name-as-list", "charges-list", "subsystem-modes-int", "complementer-modes-int",
             "frozen-null", "occupations-int", "index-null", "seed-null",
-            "term-not-object", "label-list", "label-int"])
+            "term-not-object", "label-list", "label-int", "charge-beyond-int64",
+            "charge-below-int64", "total-charge-beyond-int64", "charge-bool",
+            "max-occupation-bool", "amplitude-beyond-float"])
     def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
         path = tmp_path / "scenario.json"
         path.write_bytes(scenario_bytes())

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,20 +20,27 @@ from relfock import (
     build_fock_space,
     charge_operator,
     charge_values,
+    check_embedding_charge_compatibility,
+    check_superselection,
     compose_embeddings,
     embedding_from_isometry,
     identity_embedding,
     identity_operator,
     ladder_operator,
+    load_scenario,
     mode_partition_embedding,
     number_operator,
     project_onto_image,
     random_isometry_embedding,
     random_state_vector,
+    regroup_embedding,
+    relational_state,
+    run_scenario,
+    schmidt_decompose,
     tensor_product,
     validate_embedding,
 )
-from relfock.hilbert import Embedding
+from relfock.hilbert import Embedding, pull_back, push_forward
 
 from conftest import qudit_space, random_pair
 
@@ -317,16 +325,24 @@ def _random_frozen(rng, reference, labels):
             for l in labels}
 
 
+def _random_partition(seed):
+    """A reference and a mode partition of it with permuted subsystem,
+    complementer and frozen label sets and random frozen occupations."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ref = _random_reference(rng)
+    labels = list(rng.permutation(ref.mode_labels))
+    cut1, cut2 = sorted(int(x) for x in rng.integers(0, len(labels) + 1, size=2))
+    sub, comp, frozen_labels = labels[:cut1], labels[cut1:cut2], labels[cut2:]
+    frozen = _random_frozen(rng, ref, frozen_labels)
+    return ref, mode_partition_embedding(ref, sub, comp, frozen)
+
+
 class TestSelectionMapOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_mode_partition_matches_oracle(self, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        ref = _random_reference(rng)
-        labels = list(rng.permutation(ref.mode_labels))
-        cut1, cut2 = sorted(int(x) for x in rng.integers(0, len(labels) + 1, size=2))
-        sub, comp, frozen_labels = labels[:cut1], labels[cut1:cut2], labels[cut2:]
-        frozen = _random_frozen(rng, ref, frozen_labels)
-        e = mode_partition_embedding(ref, sub, comp, frozen)
+        ref, e = _random_partition(seed)
+        sub, comp = e.partition.subsystem_labels, e.partition.complementer_labels
+        frozen = dict(e.partition.frozen)
         oracle = _selection_oracle(ref, [(e.subsystem, sub), (e.complementer, comp)], frozen)
         assert np.array_equal(e.isometry, oracle)
 
@@ -393,6 +409,249 @@ def _random_composition(seed):
         sub = free[:int(rng.integers(0, len(free) + 1))]
         parts.append(mode_partition_embedding(ref, sub, frozen=frozen))
     return ref, parts
+
+
+def _charged(ref, seed):
+    """ref with random electric and lepton charges on every mode."""
+    rng = np.random.Generator(np.random.PCG64(5000 + seed))
+    modes = [ModeSpec(m.label, m.statistics, m.max_occupation,
+                      {"electric": int(rng.integers(-2, 3)), "lepton": int(rng.integers(-1, 2))})
+             for m in ref.modes]
+    return build_fock_space(modes, ref.space_id)
+
+
+def _on(reference, part):
+    """The mode partition part, rebuilt on a reference with the same modes."""
+    p = part.partition
+    return mode_partition_embedding(reference, p.subsystem_labels, p.complementer_labels,
+                                    dict(p.frozen))
+
+
+def _dense_twin(e):
+    """The same map as an explicit isometry, which takes the dense paths."""
+    return embedding_from_isometry(e.subsystem, e.complementer, e.reference, e.isometry,
+                                   validate=False)
+
+
+def _states(reference, seed):
+    """A random unit state and a unit state whose other entries are zeros of
+    every sign: one amplitude per 0/1 column must keep them as the dense
+    product does."""
+    rng = np.random.Generator(np.random.PCG64(7000 + seed))
+    d = reference.dimension
+    zeros = np.array([complex(re, im) for re, im in rng.choice([0.0, -0.0], size=(d, 2))])
+    amps = np.where(rng.random(d) < 0.5, rng.standard_normal(d) + 1j * rng.standard_normal(d),
+                    zeros)
+    amps[0] = 1.0
+    return [random_state_vector(reference, seed), StateVector(reference.space_id,
+                                                              amps / np.linalg.norm(amps))]
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _outcome(fn, *args):
+    """(None, fn(*args)), or (the type and message of what it raised, None)."""
+    try:
+        return None, fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return (type(exc), str(exc)), None
+
+
+def _index_map_case(source, seed):
+    """One of the random partitions or compositions (with missing and shared
+    rows) rebuilt on a charged reference, and the factors of a composition."""
+    if source == "partition":
+        ref, e = _random_partition(seed)
+        return _on(_charged(ref, seed), e), None
+    ref, parts = _random_composition(seed)
+    charged = _charged(ref, 100 + seed)
+    parts = [_on(charged, p) for p in parts]
+    return compose_embeddings(parts, validate=False), [p.subsystem for p in parts]
+
+
+def _same_or_close(valid, x, y):
+    """Bit equality on an isometry, where V phi places each amplitude alone;
+    closeness on a map with a zero column or a shared row, where the dense
+    product sums columns in its own order."""
+    return _same_bits(x, y) if valid else np.allclose(x, y, rtol=0.0, atol=1e-12)
+
+
+class TestIndexMapOracle:
+    """Every index-map path against the dense path on the same map: results
+    must agree bit for bit, signed zeros included, or raise alike. Only
+    pushing forward through a map that fails validation may differ, by
+    rounding."""
+
+    @pytest.mark.parametrize("source, seed", [("partition", seed) for seed in range(40)]
+                             + [("composition", seed) for seed in range(60)])
+    def test_matches_dense_twin(self, source, seed):
+        e, factors = _index_map_case(source, seed)
+        twin = _dense_twin(e)
+        assert e.rows is not None and twin.rows is None
+        report = validate_embedding(e)
+        assert report == validate_embedding(twin)
+        for kind in ("electric", "lepton"):
+            assert _outcome(check_embedding_charge_compatibility, e, kind) \
+                == _outcome(check_embedding_charge_compatibility, twin, kind)
+        for psi in _states(e.reference, seed):
+            assert _same_bits(pull_back(psi, e), pull_back(psi, twin))
+            phi = pull_back(psi, e).reshape(-1)
+            assert _same_or_close(report.passed, push_forward(phi, e), push_forward(phi, twin))
+            (err, got), (dense_err, want) = (_outcome(project_onto_image, psi, x)
+                                             for x in (e, twin))
+            assert err == dense_err
+            if err is None:
+                assert _same_bits(got.component, want.component)
+                assert got.deficiency == want.deficiency
+            dec, ref_dec = schmidt_decompose(psi, e), schmidt_decompose(psi, twin)
+            assert _same_or_close(report.passed, dec.residual.amplitudes,
+                                  ref_dec.residual.amplitudes)
+            assert _same_or_close(report.passed, dec.residual_norm_sq, ref_dec.residual_norm_sq)
+            assert dec.coefficients == ref_dec.coefficients
+            for factor in ("A", "B"):
+                assert _same_bits(relational_state(psi, e, factor).matrix,
+                                  relational_state(psi, twin, factor).matrix)
+            for kind in ("electric", "lepton"):
+                got, want = (_outcome(check_superselection, psi, x, kind) for x in (e, twin))
+                assert got == want
+        if factors is not None:
+            for keep in [[i] for i in range(len(factors))] + [list(range(len(factors)))[::-1]]:
+                (err, regrouped), (dense_err, dense) = (
+                    _outcome(regroup_embedding, x, factors, keep) for x in (e, twin))
+                assert err == dense_err  # overlapping factors repeat a label
+                if err is not None:
+                    continue
+                assert regrouped.rows is not None and dense.rows is None
+                assert regrouped.subsystem == dense.subsystem
+                assert regrouped.complementer == dense.complementer
+                assert _same_bits(regrouped.isometry, dense.isometry)
+
+    def test_shared_rows_match_dense_twin(self):
+        ref = build_fock_space([ModeSpec("a", "boson", 3), ModeSpec("z", "boson", 0)], "R")
+        other = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        parts = [mode_partition_embedding(ref, ["z"]),
+                 mode_partition_embedding(other, ["a"]),
+                 mode_partition_embedding(other, ["a"])]
+        e = compose_embeddings(parts, validate=False)
+        twin = _dense_twin(e)
+        assert validate_embedding(e) == validate_embedding(twin)
+        assert not validate_embedding(e).passed
+        psi = random_state_vector(ref, 3)
+        phi = pull_back(psi, e).reshape(-1)
+        pushed = push_forward(phi, e)
+        assert np.allclose(pushed, push_forward(phi, twin), rtol=0.0, atol=1e-12)
+        # Columns (a=0, a=1) and (a=1, a=0) share the row a=1: their amplitudes add.
+        assert pushed[ref.index_of((1, 0))] == phi[1] + phi[2]
+        assert _outcome(project_onto_image, psi, e) == _outcome(project_onto_image, psi, twin)
+
+
+class TestIndexMapEmbedding:
+    def test_mode_partition_keeps_no_matrix_until_read(self):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b"), ModeSpec("c")], "R")
+        e = mode_partition_embedding(sp, ["a"], frozen={"c": 1})
+        assert "isometry" not in e.__dict__
+        assert e.rows.dtype == np.int64 and not e.rows.flags.writeable
+        assert e.rows.tolist() == [sp.index_of((a, b, 1)) for a in (0, 1) for b in (0, 1)]
+        assert validate_embedding(e).passed
+        assert "isometry" not in e.__dict__
+        mat = e.isometry
+        assert e.isometry is mat and not mat.flags.writeable
+        assert np.array_equal(mat, _selection_oracle(sp, [(e.subsystem, ["a"]),
+                                                          (e.complementer, ["b"])], {"c": 1}))
+
+    def test_identity_embedding_is_an_index_map(self):
+        a, b = qudit_space(2, "a"), qudit_space(3, "b")
+        e = identity_embedding(a, b)
+        assert e.rows.tolist() == list(range(6))
+        assert np.array_equal(e.isometry, np.eye(6))
+
+    def test_explicit_isometry_has_no_rows(self):
+        e = random_isometry_embedding(qudit_space(2, "a"), qudit_space(2, "b"),
+                                      qudit_space(5, "r"), seed=2)
+        assert e.rows is None and e.isometry.shape == (5, 4)
+
+    def test_embeddings_compare_by_identity(self):
+        a, b, r = qudit_space(2, "a"), qudit_space(2, "b"), qudit_space(5, "r")
+        e1, e2 = (random_isometry_embedding(a, b, r, seed=s) for s in (1, 2))
+        assert e1 == e1 and e1 != e2 and hash(e1) != hash(e2)
+        sp = build_fock_space([ModeSpec("x"), ModeSpec("y")], "R")
+        p1, p2 = (mode_partition_embedding(sp, ["x"]) for _ in range(2))
+        assert p1 != p2 and len({e1, e2, p1, p2}) == 4
+
+    def test_exactly_one_form(self):
+        a, b = qudit_space(2, "a"), qudit_space(2, "b")
+        r = tensor_product(a, b)
+        with pytest.raises(ValueError, match="exactly one"):
+            Embedding(a, b, r)
+        with pytest.raises(ValueError, match="exactly one"):
+            Embedding(a, b, r, np.eye(4), rows=np.arange(4))
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [0, 1, 2, 4], [0, 1, 2, -2]])
+    def test_index_map_must_fit_the_spaces(self, rows):
+        a, b = qudit_space(2, "a"), qudit_space(2, "b")
+        with pytest.raises(SpaceMismatchError):
+            Embedding(a, b, tensor_product(a, b), rows=rows)
+
+    def test_writable_rows_are_copied(self):
+        a, b = qudit_space(2, "a"), qudit_space(2, "b")
+        rows = np.arange(4)
+        e = Embedding(a, b, tensor_product(a, b), rows=rows)
+        rows[0] = 3
+        assert e.rows[0] == 0 and not e.rows.flags.writeable
+
+
+_GUARD_SCENARIO = {
+    "schema": "relfock.scenario/1",
+    "spaces": [{"id": "R", "modes": [
+        {"label": f"f{i}", "statistics": "fermion", "charges": {"electric": (-1) ** i}}
+        if i % 2 == 0 else {"label": f"b{i}"} for i in range(8)]}],
+    "states": [{"name": "psi", "space": "R", "kind": "random", "seed": 4},
+               {"name": "neutral", "space": "R", "kind": "basis",
+                "occupations": [1, 0, 1, 0, 0, 1, 0, 0]}],
+    "embeddings": [
+        {"name": "frozen", "reference": "R", "subsystem_modes": ["f0", "b1"],
+         "frozen": {"b3": 0}},
+        {"name": "mid", "reference": "R", "subsystem_modes": ["f2", "f4"]},
+        {"name": "last", "reference": "R", "subsystem_modes": ["b5", "f6", "b7"]},
+    ],
+    "hamiltonians": [{"name": "H", "space": "R", "terms": [
+        {"coefficient": 0.4, "factors": [["create", "f0"], ["annihilate", "f2"]]},
+        {"coefficient": 0.4, "factors": [["create", "f2"], ["annihilate", "f0"]]},
+        {"coefficient": 0.3, "factors": [["number", "b3"]]}]}],
+    "tasks": [
+        {"command": "reduce", "name": "reduce-a", "state": "psi", "embedding": "frozen"},
+        {"command": "reduce", "name": "reduce-b", "state": "psi", "embedding": "mid",
+         "factor": "B"},
+        {"command": "spectrum", "name": "spectrum", "state": "psi", "embedding": "frozen"},
+        {"command": "schmidt", "name": "schmidt", "state": "psi", "embedding": "frozen"},
+        {"command": "joint", "name": "joint", "state": "psi",
+         "embeddings": ["frozen", "mid", "last"]},
+        {"command": "check-ssr", "name": "ssr", "state": "neutral", "embedding": "mid",
+         "kind": "electric"},
+        {"command": "sample", "name": "sample", "state": "psi", "embedding": "last",
+         "count": 20, "seed": 1},
+        {"command": "trace-trajectory", "name": "trajectory", "state": "neutral",
+         "hamiltonian": "H", "embedding": "frozen", "times": [0.0, 0.5, 1.0],
+         "charge_kinds": ["electric"]},
+    ],
+}
+
+
+def test_mode_partition_scenario_builds_no_dense_selection_matrix(tmp_path, monkeypatch):
+    path = tmp_path / "partitions.json"
+    path.write_text(json.dumps(_GUARD_SCENARIO))
+    expected = run_scenario(load_scenario(path)).to_machine_bytes()
+
+    def refuse(self):
+        raise AssertionError(f"dense {self.reference.dimension} x {self.image_dimension}"
+                             " selection matrix built")
+    monkeypatch.setattr(Embedding, "isometry", property(refuse))
+    report = run_scenario(load_scenario(path))
+    assert [t.status for t in report.tasks] == ["ok"] * len(_GUARD_SCENARIO["tasks"])
+    assert report.to_machine_bytes() == expected
 
 
 class TestProjectOntoImage:

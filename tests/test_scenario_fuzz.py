@@ -1,6 +1,10 @@
 """Fuzzing the scenario loader: a bundled scenario with one or two JSON values
 replaced by ill-typed or out-of-range ones either loads or raises
-ScenarioError, which the CLI reports with exit code 2 and no traceback."""
+ScenarioError, which the CLI reports with exit code 2 and no traceback. A
+scenario that loads then runs its tasks, and no task may fail with an
+OverflowError: out-of-range values are load errors. A task may still fail on
+its own parameters (a TypeError for a mistyped one), which the CLI reports
+with exit code 1."""
 from __future__ import annotations
 
 import copy
@@ -9,7 +13,7 @@ from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
-from relfock import ScenarioError, load_scenario
+from relfock import ScenarioError, load_scenario, run_scenario
 
 BUNDLED = ("bell", "product", "annihilation")
 
@@ -48,6 +52,8 @@ def test_edited_scenario_loads_or_raises_scenario_error(tmp_path_factory, name, 
     scenario = tmp_path_factory.getbasetemp() / "fuzzed-scenario.json"
     scenario.write_text(json.dumps(doc))
     try:
-        load_scenario(scenario)
+        loaded = load_scenario(scenario)
     except ScenarioError:
-        pass
+        return
+    errors = [t.error for t in run_scenario(loaded, seed=0).tasks if t.status != "ok"]
+    assert not [e for e in errors if e["type"] == "OverflowError"], errors
