@@ -44,21 +44,16 @@ from .hilbert import (
     EmbeddingValidation,
     FockSpace,
     ImageProjection,
-    LinearOperator,
     ModePartition,
     ModeSpec,
     StateVector,
     basis_state,
     bell_state,
     build_fock_space,
-    charge_operator,
     charge_values,
     embedding_from_isometry,
     identity_embedding,
-    identity_operator,
-    ladder_operator,
     mode_partition_embedding,
-    number_operator,
     project_onto_image,
     random_isometry_embedding,
     random_state_vector,
@@ -104,7 +99,6 @@ __all__ = [
     "ImageProjection",
     "IndependenceReport",
     "JointDistribution",
-    "LinearOperator",
     "ModePartition",
     "ModeSpec",
     "Report",
@@ -124,7 +118,6 @@ __all__ = [
     "bell_state",
     "build_fock_space",
     "build_hamiltonian",
-    "charge_operator",
     "charge_values",
     "check_embedding_charge_compatibility",
     "check_isolated_independence",
@@ -137,13 +130,10 @@ __all__ = [
     "free_hamiltonian",
     "hopping_hamiltonian",
     "identity_embedding",
-    "identity_operator",
     "is_charge_eigenstate",
     "joint_distribution",
-    "ladder_operator",
     "load_scenario",
     "mode_partition_embedding",
-    "number_operator",
     "possible_internal_states",
     "project_onto_image",
     "random_isometry_embedding",

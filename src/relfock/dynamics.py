@@ -1,11 +1,12 @@
 """Unitary evolution of closed-system states (hbar = 1).
 
-Hamiltonian terms are products of ladder and number operators, assembled by
-following each basis column through the ``hilbert.mode_action`` index maps and
-hermitized one by one from those maps. Evolution is the exact matrix
-exponential through an eigendecomposition per conserved block (a connected
-component of H's nonzero pattern), computed once per Hamiltonian, so norm and
-energy are conserved to solver precision.
+Hamiltonian terms are products of ladder and number operators. Assembly
+follows each basis column through the ``hilbert.mode_action`` index maps,
+hermitizes each term from those maps, and keeps H as its nonzero entries
+(row, column, value triplets), so no D x D matrix is built or scanned.
+Evolution is the exact matrix exponential through an eigendecomposition per
+conserved block (a connected component of H's nonzero pattern), computed once
+per Hamiltonian, so norm and energy are conserved to solver precision.
 A trilinear conversion family moves quanta out of an embedded product
 subspace, which is how a relational trace dynamically drops below one.
 """
@@ -25,7 +26,6 @@ from .hilbert import (
     charge_values,
     mode_action,
     pull_back,
-    read_only,
 )
 from .tolerances import Tolerances, resolve
 
@@ -54,26 +54,77 @@ class HamiltonianTerm:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """A Hermitian operator on a space plus the terms it was built from."""
+    """A Hermitian operator on a space plus the terms it was built from, held
+    as triplets: H[rows[k], cols[k]] = vals[k]. Construction sums repeated
+    positions in the order given and drops exact zeros, so the stored
+    (read-only) triplets are the nonzero entries of H in row-major order."""
 
     space: FockSpace
     terms: tuple[HamiltonianTerm, ...]
-    matrix: np.ndarray = field(compare=False)
+    rows: np.ndarray = field(compare=False)
+    cols: np.ndarray = field(compare=False)
+    vals: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", read_only(self.matrix))
+        n = self.space.dimension
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        vals = np.asarray(self.vals, dtype=np.complex128)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape
+                and np.all((rows >= 0) & (rows < n) & (cols >= 0) & (cols < n))):
+            raise ValueError(f"triplets must be three equal-length 1-d arrays "
+                             f"indexing the {n} x {n} operator")
+        keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+        # bincount adds in input order, as a dense += in that order would
+        summed = np.empty(len(keys), dtype=np.complex128)
+        summed.real = np.bincount(inverse, vals.real, len(keys))
+        summed.imag = np.bincount(inverse, vals.imag, len(keys))
+        live = summed != 0
+        keys = keys[live]
+        for name, arr in (("rows", keys // n), ("cols", keys % n), ("vals", summed[live])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def space_id(self) -> str:
         return self.space.space_id
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """H as a dense read-only D x D array, built on first read and kept."""
+        n = self.space.dimension
+        out = np.zeros((n, n), dtype=np.complex128)
+        out[self.rows, self.cols] = self.vals
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def eigensystem(self) -> "SectorEigensystem":
         """Eigendecomposition per conserved block, computed on first use."""
-        return _sector_eigensystem(self.matrix)
+        return _sector_eigensystem(self)
 
     def spectral_norm(self) -> float:
         return float(max(np.abs(w).max() for _, w, _ in self.eigensystem.blocks))
+
+    def energy(self, amplitudes: np.ndarray) -> float:
+        """<a|H|a>, with the product H a summed row by row from the triplets."""
+        products = self.vals * amplitudes[self.cols]
+        h_a = np.empty(self.space.dimension, dtype=np.complex128)
+        h_a.real = np.bincount(self.rows, products.real, len(h_a))
+        h_a.imag = np.bincount(self.rows, products.imag, len(h_a))
+        return float(np.vdot(amplitudes, h_a).real)
+
+
+def _hermiticity_deviation(h: HamiltonianSpec) -> float:
+    """max |H - H^dagger| from the triplets: each entry against the conjugate
+    of its transpose partner, or of zero where the partner is absent."""
+    if not len(h.vals):
+        return 0.0
+    n = h.space.dimension
+    keys, partner_keys = h.rows * n + h.cols, h.cols * n + h.rows
+    at = np.minimum(np.searchsorted(keys, partner_keys), len(keys) - 1)
+    partner = np.where(keys[at] == partner_keys, h.vals[at], 0.0)
+    return float(np.abs(h.vals - partner.conj()).max())
 
 
 @dataclass(frozen=True)
@@ -101,13 +152,12 @@ class SectorEigensystem:
         return out
 
 
-def _sector_eigensystem(matrix: np.ndarray) -> SectorEigensystem:
-    """Split a Hermitian matrix into the connected components of its nonzero
-    pattern and diagonalize them, with one stacked ``eigh`` per block size.
-    Size-1 blocks are their diagonal entry; a single block spanning the space
-    goes to ``eigh`` as the matrix itself, with no gathered copy."""
-    n = matrix.shape[0]
-    rows, cols = np.nonzero(matrix)
+def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
+    """Split H into the connected components of its nonzero pattern and
+    diagonalize them, with one stacked ``eigh`` per block size. Size-1 blocks
+    are their diagonal entry and other blocks are gathered from the triplets;
+    a single block spanning the space goes to ``eigh`` as ``h.matrix``."""
+    n, rows, cols = h.space.dimension, h.rows, h.cols
     # Min-label propagation with pointer jumping over the (symmetric) pattern:
     # label[i] is always a member of i's block no larger than i, and settles
     # on the block's smallest index.
@@ -121,21 +171,33 @@ def _sector_eigensystem(matrix: np.ndarray) -> SectorEigensystem:
         label = hooked
     size = np.bincount(label, minlength=n)[label]
     order = np.lexsort((label, size))  # by block size, then block, then index
-    size = size[order]
-    blocks = []
+    size_in_order = size[order]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    inside = label[rows] == label[cols]
+    blocks, start = [], 0
     for s in np.unique(size).tolist():
-        idx = order[size == s].reshape(-1, s)
+        idx = order[size_in_order == s].reshape(-1, s)
         if s == 1:
-            w = matrix[idx, idx].real
+            diag = np.zeros(n)
+            on = rows == cols
+            diag[rows[on]] = h.vals[on].real
+            w = diag[idx]
             u = np.ones((len(idx), 1, 1), dtype=np.complex128)
         elif s == n:
-            w, u = np.linalg.eigh(matrix)
+            w, u = np.linalg.eigh(h.matrix)
             w, u = w[None], u[None]
         else:
-            w, u = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+            # entry (r, c) of block b sits at row rank[r] - start of the
+            # (k*s, s) stack and at column (rank[c] - start) % s
+            sel = inside & (size[rows] == s)
+            stacked = np.zeros((idx.size, s), dtype=np.complex128)
+            stacked[rank[rows[sel]] - start, (rank[cols[sel]] - start) % s] = h.vals[sel]
+            w, u = np.linalg.eigh(stacked.reshape(-1, s, s))
         for arr in (idx, w, u):
             arr.flags.writeable = False
         blocks.append((idx, w, u))
+        start += idx.size
     return SectorEigensystem(tuple(blocks))
 
 
@@ -150,7 +212,7 @@ def build_hamiltonian(space: FockSpace,
         for t in terms
     )
     cols = np.arange(space.dimension)
-    total = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
+    pieces = [(cols[:0], cols[:0], np.zeros(0))]  # (rows, cols, vals) in term order
     for term in parsed:
         # Follow each column through the factors right to left; multiply the
         # weights left to right, as the dense product of the factors would.
@@ -166,15 +228,18 @@ def build_hamiltonian(space: FockSpace,
         paired = rows[rows] == cols
         mirror = np.where(paired, vals[rows], 0.0)
         if float(np.abs(vals - mirror).max()) < tol.herm:
-            total[rows, cols] += vals
+            pieces.append((rows, cols, vals))
         else:
-            total[rows, cols] += vals + mirror
-            total[cols[~paired], rows[~paired]] += vals[~paired]
-    dev = float(np.abs(total - total.conj().T).max())
+            pieces.append((rows, cols, vals + mirror))
+            pieces.append((cols[~paired], rows[~paired], vals[~paired]))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+    live = vals != 0  # adding an exact zero changes no sum
+    h = HamiltonianSpec(space=space, terms=parsed,
+                        rows=rows[live], cols=cols[live], vals=vals[live])
+    dev = _hermiticity_deviation(h)
     if dev >= tol.herm:
         raise ValueError(f"assembled Hamiltonian is not Hermitian: max dev {dev:g}")
-    total.flags.writeable = False
-    return HamiltonianSpec(space=space, terms=parsed, matrix=total)
+    return h
 
 
 def free_hamiltonian(space: FockSpace, frequencies: Mapping[str, float]) -> HamiltonianSpec:
@@ -259,7 +324,7 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
         states.append(state)
         amps = state.amplitudes
         norms[i] = float(np.vdot(amps, amps).real)
-        energies[i] = float(np.vdot(amps, h.matrix @ amps).real)
+        energies[i] = h.energy(amps)
         for kind, q in charge_diags.items():
             charges[kind][i] = float(np.vdot(amps, q * amps).real)
         for key, emb in embeddings.items():

@@ -1,8 +1,11 @@
-"""Truncated Fock spaces, states, operators, and subspace embeddings.
+"""Truncated Fock spaces, states, mode operators and subspace embeddings.
 
 A physical system is a finite-dimensional Hilbert space spanned by occupation
 number states of a fixed list of modes. Each mode carries statistics, an
-occupation cutoff and integer charges per particle. Composite systems are
+occupation cutoff and integer charges per particle. A mode operator (create,
+annihilate or count) is its occupation index map, ``mode_action``: where it
+sends each basis state and with what weight; no operator matrix is built, and
+charges are per-basis-state values (``charge_values``). Composite systems are
 tensor products; a subsystem relation A (x) B <= R is represented explicitly
 by an isometry V from the product space into the reference space, so the image
 may be a proper subspace of R.
@@ -285,41 +288,6 @@ def random_state_vector(space: FockSpace, seed: int) -> StateVector:
     return StateVector(space.space_id, amps)
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """A dense matrix between named spaces.
-
-    If hermitian is asserted it is verified at construction against the
-    default Hermiticity tolerance.
-    """
-
-    domain_space_id: str
-    codomain_space_id: str
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = read_only(self.matrix)
-        if mat.ndim != 2:
-            raise ValueError("operator matrix must be two-dimensional")
-        object.__setattr__(self, "matrix", mat)
-        if self.hermitian:
-            if self.domain_space_id != self.codomain_space_id or mat.shape[0] != mat.shape[1]:
-                raise ValueError("a Hermitian operator must map a space to itself")
-            dev = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-            if dev >= resolve(None).herm:
-                raise ValueError(f"operator asserted Hermitian but max|M - M^dagger| = {dev:g}")
-
-    def apply(self, state: StateVector) -> StateVector:
-        state.require_space(self.domain_space_id, self.matrix.shape[1])
-        return StateVector(self.codomain_space_id, self.matrix @ state.amplitudes)
-
-
-def identity_operator(space: FockSpace) -> LinearOperator:
-    return LinearOperator(space.space_id, space.space_id,
-                          np.eye(space.dimension, dtype=np.complex128), hermitian=True)
-
-
 def mode_action(space: FockSpace, label: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Where a mode operator (kind "create", "annihilate" or "number") sends
     each basis column j: to row moved[j] with weight[j]. Annihilation takes n
@@ -343,22 +311,6 @@ def mode_action(space: FockSpace, label: str, kind: str) -> tuple[np.ndarray, np
     return moved, weight
 
 
-def ladder_operator(space: FockSpace, mode_label: str, kind: str) -> LinearOperator:
-    """Creation or annihilation operator for one mode: ``mode_action`` as a matrix."""
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    moved, weight = mode_action(space, mode_label, kind)
-    mat = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
-    mat[moved, np.arange(space.dimension)] = weight
-    return LinearOperator(space.space_id, space.space_id, mat)
-
-
-def number_operator(space: FockSpace, mode_label: str) -> LinearOperator:
-    """Occupation number of one mode; diagonal in the occupation basis."""
-    _, n = mode_action(space, mode_label, "number")
-    return LinearOperator(space.space_id, space.space_id, np.diag(n), hermitian=True)
-
-
 def charge_values(space: FockSpace, kind: str) -> np.ndarray:
     """Total charge of each basis state as exact integers: sum over modes of
     occupation times per-particle charge."""
@@ -370,18 +322,12 @@ def charge_values(space: FockSpace, kind: str) -> np.ndarray:
     return space.basis_occupations @ per_mode
 
 
-def charge_operator(space: FockSpace, kind: str) -> LinearOperator:
-    """Additive charge operator, diagonal in the occupation basis."""
-    diag = charge_values(space, kind).astype(np.complex128)
-    return LinearOperator(space.space_id, space.space_id, np.diag(diag), hermitian=True)
-
-
 def compose_space_id(a: str, b: str) -> str:
     return f"{a}(x){b}"
 
 
 def tensor_product(a, b):
-    """Kronecker composition of two spaces, states, or operators (A-major).
+    """Kronecker composition of two spaces or two states (A-major).
 
     Both arguments must be of the same kind; mode labels of composed spaces
     must stay unique.
@@ -391,13 +337,6 @@ def tensor_product(a, b):
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(compose_space_id(a.space_id, b.space_id),
                            np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, LinearOperator) and isinstance(b, LinearOperator):
-        return LinearOperator(
-            compose_space_id(a.domain_space_id, b.domain_space_id),
-            compose_space_id(a.codomain_space_id, b.codomain_space_id),
-            np.kron(a.matrix, b.matrix),
-            hermitian=a.hermitian and b.hermitian,
-        )
     raise TypeError(
         f"cannot tensor {type(a).__name__} with {type(b).__name__}: kinds must match"
     )

@@ -113,13 +113,12 @@ def _run_evolve(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     h = scenario.hamiltonians[params["hamiltonian"]]
     t = float(params["t"])
     psi_t = evolve(scenario.states[params["state"]], h, t, tol)
-    energy = float(np.vdot(psi_t.amplitudes, h.matrix @ psi_t.amplitudes).real)
     return {
         "t": t,
         "space": psi_t.space_id,
         "amplitudes": complex_vector(psi_t.amplitudes),
         "norm_sq": psi_t.norm_sq,
-        "energy": energy,
+        "energy": h.energy(psi_t.amplitudes),
     }
 
 

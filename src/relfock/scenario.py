@@ -68,8 +68,10 @@ from .tolerances import Tolerances, resolve
 
 SCENARIO_SCHEMA = "relfock.scenario/1"
 # Largest space a scenario may declare: one D x D complex128 matrix at this
-# dimension (a Hamiltonian, or an explicit isometry onto a product of the same
-# dimension) takes 4 GiB. Mode partitions are index maps of 8 bytes per column.
+# dimension (a Hamiltonian whose one conserved block spans the space, or an
+# explicit isometry onto a product of the same dimension) takes 4 GiB. Mode
+# partitions are index maps of 8 bytes per column; other Hamiltonians are
+# their nonzero entries.
 MAX_DIMENSION = 2 ** 14
 
 
@@ -398,8 +400,10 @@ def _check_task_references(tasks: Sequence[Task], states, embeddings, hamiltonia
     pools = {"states": states, "embeddings": embeddings, "hamiltonians": hamiltonians}
     for task in tasks:
         for key, pool_name in _TASK_REFS.items():
-            value = task.params.get(key)
-            if value is not None and (not isinstance(value, str) or value not in pools[pool_name]):
+            if key not in task.params:
+                continue
+            value = task.params[key]
+            if not isinstance(value, str) or value not in pools[pool_name]:
                 raise ScenarioError(
                     f"task {task.name!r}: unknown {key} reference {value!r}"
                 )

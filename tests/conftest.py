@@ -11,6 +11,7 @@ from relfock import (
     random_isometry_embedding,
     random_state_vector,
 )
+from relfock.hilbert import mode_action
 
 
 def qudit_space(dim: int, label: str, space_id: str | None = None,
@@ -19,6 +20,14 @@ def qudit_space(dim: int, label: str, space_id: str | None = None,
     return build_fock_space(
         [ModeSpec(label, "boson", dim - 1, charges)], space_id or f"qudit-{label}"
     )
+
+
+def mode_matrix(space: FockSpace, label: str, kind: str) -> np.ndarray:
+    """One mode operator as a dense matrix, scattered from ``mode_action``."""
+    moved, weight = mode_action(space, label, kind)
+    mat = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
+    mat[moved, np.arange(space.dimension)] = weight
+    return mat
 
 
 def random_pair(seed: int, max_side: int = 8, max_ref: int = 64):

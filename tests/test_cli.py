@@ -290,12 +290,13 @@ class TestCliContract:
                        .update(max_occupation=True)),
         lambda: edited("annihilation", lambda doc: doc["states"].__setitem__(
             0, {"name": "pair", "space": "U", "amplitudes": [10**400] + [0] * 7})),
+        lambda: edited("product", lambda doc: doc["tasks"][3].update(state=None)),
     ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
             "name-as-list", "charges-list", "subsystem-modes-int", "complementer-modes-int",
             "frozen-null", "occupations-int", "index-null", "seed-null",
             "term-not-object", "label-list", "label-int", "charge-beyond-int64",
             "charge-below-int64", "total-charge-beyond-int64", "charge-bool",
-            "max-occupation-bool", "amplitude-beyond-float"])
+            "max-occupation-bool", "amplitude-beyond-float", "task-reference-null"])
     def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
         path = tmp_path / "scenario.json"
         path.write_bytes(scenario_bytes())

@@ -1,6 +1,8 @@
 """Hamiltonian assembly and exact unitary evolution."""
 from __future__ import annotations
 
+import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -13,22 +15,22 @@ from relfock import (
     basis_state,
     build_fock_space,
     build_hamiltonian,
-    charge_operator,
+    charge_values,
     conversion_hamiltonian,
     evolve,
     evolve_trajectory,
     free_hamiltonian,
     hopping_hamiltonian,
-    ladder_operator,
     load_scenario,
     mode_partition_embedding,
-    number_operator,
     random_state_vector,
     relational_state,
+    run_scenario,
     trace_deficit_trajectory,
 )
+from relfock.dynamics import _hermiticity_deviation
 
-from conftest import qudit_space
+from conftest import mode_matrix, qudit_space
 
 
 def pair_annihilation_model(g: float = 1.0):
@@ -71,7 +73,7 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(sp, [(0.9, (("create", "a"), ("annihilate", "b"),
                                           ("annihilate", "c")))])
         assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12
-        conserved = number_operator(sp, "a").matrix + number_operator(sp, "b").matrix
+        conserved = mode_matrix(sp, "a", "number") + mode_matrix(sp, "b", "number")
         comm = h.matrix @ conserved - conserved @ h.matrix
         assert np.abs(comm).max() < 1e-12
 
@@ -147,11 +149,11 @@ class TestTrajectories:
         assert np.abs(traj.norms - 1.0).max() < 1e-9
         assert np.abs(traj.energies - traj.energies[0]).max() < 1e-9 * h_norm
         for kind in ("electric", "lepton"):
-            q = charge_operator(space, kind)
+            q = np.diag(charge_values(space, kind).astype(np.complex128))
             expect = traj.charge_expectations[kind]
-            scale = max(1.0, np.abs(q.matrix).max())
+            scale = max(1.0, np.abs(q).max())
             # the Hamiltonian commutes with both charges
-            comm = h.matrix @ q.matrix - q.matrix @ h.matrix
+            comm = h.matrix @ q - q @ h.matrix
             assert np.abs(comm).max() < 1e-12
             assert np.abs(expect - expect[0]).max() < 1e-9 * scale
 
@@ -278,9 +280,9 @@ class TestKroneckerOracle:
         space, _ = _random_terms(seed)
         for label in space.mode_labels:
             for kind in ("create", "annihilate"):
-                assert np.array_equal(ladder_operator(space, label, kind).matrix,
+                assert np.array_equal(mode_matrix(space, label, kind),
                                       _kron_ladder(space, label, kind))
-            assert np.array_equal(number_operator(space, label).matrix,
+            assert np.array_equal(mode_matrix(space, label, "number"),
                                   _kron_number(space, label))
 
 
@@ -330,7 +332,9 @@ class TestSectorEigensystem:
         space = build_fock_space([ModeSpec(f"m{i}", "boson", 1) for i in range(5)])
         labels = rng.integers(0, 6, space.dimension)
         mat = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        h = HamiltonianSpec(space, (), (mat + mat.conj().T) * (labels[:, None] == labels))
+        mat = (mat + mat.conj().T) * (labels[:, None] == labels)
+        rows, cols = np.nonzero(mat)
+        h = HamiltonianSpec(space, (), rows, cols, mat[rows, cols])
         assert set(_block_sets(h)) == {frozenset(np.flatnonzero(labels == k).tolist())
                                        for k in np.unique(labels)}
         psi = random_state_vector(space, seed)
@@ -382,3 +386,124 @@ class TestSectorEigensystem:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0
+
+
+def _random_triplets(seed, n=12):
+    """Complex triplets on an n x n grid, some positions repeated: Hermitian
+    for even seeds, with one transpose partner dropped when seed % 4 == 2,
+    and unrelated entries for odd seeds."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 3 * n))
+    rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+    vals = rng.normal(size=k) + 1j * rng.normal(size=k)
+    if seed % 2 == 0:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        vals = np.concatenate([vals, vals.conj()])
+        if seed % 4 == 2:
+            off = np.flatnonzero(rows != cols)
+            if len(off):
+                keep = np.arange(len(rows)) != off[0]
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, cols, vals
+
+
+class TestTriplets:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_summed_like_ordered_dense_accumulation(self, seed):
+        space = qudit_space(12, "a")
+        rows, cols, vals = _random_triplets(seed)
+        h = HamiltonianSpec(space, (), rows, cols, vals)
+        dense = np.zeros((12, 12), dtype=np.complex128)
+        for r, c, v in zip(rows, cols, vals):
+            dense[r, c] += v
+        assert np.array_equal(h.matrix, dense)
+        keys = h.rows * 12 + h.cols
+        assert np.all(np.diff(keys) > 0) and np.all(h.vals != 0)
+        assert len(keys) == np.count_nonzero(dense)
+        for arr in (h.rows, h.cols, h.vals, h.matrix):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("rows, cols, vals", [
+        ([0], [12], [1.0]), ([-1], [0], [1.0]), ([0, 1], [0], [1.0, 1.0]), ([[0]], [[0]], [[1.0]]),
+    ], ids=["column-beyond", "negative-row", "length-mismatch", "two-dimensional"])
+    def test_triplets_outside_the_operator_are_rejected(self, rows, cols, vals):
+        # rows * D + cols would otherwise alias another entry
+        with pytest.raises(ValueError, match="indexing the 12 x 12 operator"):
+            HamiltonianSpec(qudit_space(12, "a"), (), rows, cols, vals)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hermiticity_deviation_matches_dense(self, seed):
+        h = HamiltonianSpec(qudit_space(12, "a"), (), *_random_triplets(seed))
+        dense = float(np.abs(h.matrix - h.matrix.conj().T).max())
+        assert _hermiticity_deviation(h) == dense
+        # repeated positions sum in different orders on the two sides
+        assert dense < 1e-14 if seed % 4 == 0 else dense > 1e-6
+
+    def test_non_hermitian_sum_is_rejected(self):
+        # Each term is within tolerance of self-adjoint, so neither gets its
+        # adjoint added, but their sum is not: H[2, 1] = 2 * 0.6e-10 * sqrt(2).
+        sp = qudit_space(3, "a")
+        with pytest.raises(ValueError, match="not Hermitian: max dev 1.69706e-10"):
+            build_hamiltonian(sp, [(0.6e-10, (("create", "a"),))] * 2)
+
+    def test_cancelled_terms_leave_no_pattern(self):
+        sp = build_fock_space([ModeSpec(f"m{i}", "boson", 1) for i in range(3)])
+        hop = (("create", "m0"), ("annihilate", "m1"))
+        h = build_hamiltonian(sp, [(0.5, hop), (0.3, (("number", "m2"),)), (-0.5, hop),
+                                   (0.2, (("create", "m2"), ("annihilate", "m1")))])
+        assert len(h.vals) == np.count_nonzero(h.matrix)
+        count, labels = connected_components(h.matrix != 0, directed=False)
+        expected = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
+        blocks = _block_sets(h)
+        assert len(blocks) == count and set(blocks) == expected
+        assert max(len(b) for b in blocks) == 2  # the m0 <-> m1 hop cancelled
+
+    def test_large_conversion_builds_no_dense_matrix(self, tmp_path):
+        modes = [{"label": "e-", "statistics": "fermion", "max_occupation": 1},
+                 {"label": "e+", "statistics": "fermion", "max_occupation": 1},
+                 {"label": "photon", "statistics": "boson", "max_occupation": 1}] + \
+            [{"label": f"x{i}", "statistics": "boson", "max_occupation": 1} for i in range(9)]
+        doc = {
+            "schema": "relfock.scenario/1",
+            "spaces": [{"id": "U", "modes": modes}],
+            "states": [{"name": "psi", "space": "U", "kind": "random", "seed": 3}],
+            "embeddings": [{"name": "electron", "reference": "U", "subsystem_modes": ["e-"],
+                            "frozen": {"photon": 0}}],
+            "hamiltonians": [{"name": "h", "space": "U", "terms": [
+                {"coefficient": 0.7,
+                 "factors": [["create", "photon"], ["annihilate", "e-"], ["annihilate", "e+"]]},
+                {"coefficient": 0.4, "factors": [["number", "x0"]]}]}],
+            "tasks": [
+                {"command": "evolve", "name": "later", "state": "psi", "hamiltonian": "h",
+                 "t": 0.6},
+                {"command": "trace-trajectory", "name": "curve", "state": "psi",
+                 "hamiltonian": "h", "embedding": "electron", "times": [0.0, 0.5, 1.5]}],
+        }
+        path = tmp_path / "conversion.json"
+        path.write_text(json.dumps(doc))
+        dd_bytes = 16 * 4096 ** 2
+
+        tracemalloc.start()
+        try:
+            scenario = load_scenario(str(path))
+            h, psi = scenario.hamiltonians["h"], scenario.states["psi"]
+            assert h.space.dimension == 4096
+            later = evolve(psi, h, 0.6)
+            traj = evolve_trajectory(psi, h, [0.0, 0.5, 1.5])
+            report = run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in vars(h)
+        assert peak < dd_bytes / 4
+        assert [t.status for t in report.tasks] == ["ok", "ok"]
+
+        scale = 1e-12 * h.spectral_norm()
+        dense = h.matrix
+        assert abs(h.energy(later.amplitudes)
+                   - np.vdot(later.amplitudes, dense @ later.amplitudes).real) < scale
+        for state, energy in zip(traj.states, traj.energies):
+            assert abs(energy - np.vdot(state.amplitudes, dense @ state.amplitudes).real) < scale
+        evolved, curve = (t.result for t in report.tasks)
+        assert abs(evolved["energy"] - h.energy(later.amplitudes)) < scale
+        np.testing.assert_allclose(curve["energies"], traj.energies, rtol=0, atol=scale)
