@@ -30,7 +30,7 @@ from .composition import _party_pullbacks, compose_embeddings, joint_distributio
 from .dynamics import evolve, trace_deficit_trajectory
 from .relational import _reduce, possible_internal_states, relational_state, \
     sample_internal_states
-from .report import Report, TaskResult, complex_matrix, complex_vector
+from .report import Report, TaskResult
 from .scenario import Scenario
 from .superselection import check_superselection
 from .tolerances import Tolerances, resolve
@@ -45,14 +45,19 @@ def _times_from(params: Mapping[str, Any]) -> np.ndarray:
     raise ValueError("times must be a list of numbers or {start, stop, num}")
 
 
+def _stack(vectors) -> np.ndarray:
+    """The amplitudes of state vectors as the rows of one array."""
+    return np.array([v.amplitudes for v in vectors])
+
+
 def _spectrum_payload(dec) -> dict:
     return {
         "space": dec.space_id,
-        "eigenvalues": list(dec.eigenvalues),
+        "eigenvalues": dec.eigenvalues,
         "annihilation_probability": dec.annihilation_probability,
-        "degeneracy_groups": [list(g) for g in dec.degeneracy_groups],
+        "degeneracy_groups": dec.degeneracy_groups,
         "dropped": dec.dropped_count,
-        "eigenvectors": [complex_vector(v.amplitudes) for v in dec.eigenvectors],
+        "eigenvectors": _stack(dec.eigenvectors),
     }
 
 
@@ -62,7 +67,7 @@ def _run_reduce(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
                            params.get("factor", "A"), tol)
     return {
         "space": rho.space_id,
-        "matrix": complex_matrix(rho.matrix),
+        "matrix": rho.matrix,
         "trace": rho.trace,
         "trace_deficit": rho.trace_deficit,
     }
@@ -79,12 +84,12 @@ def _run_schmidt(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     dec = schmidt_decompose(scenario.states[params["state"]],
                             scenario.embeddings[params["embedding"]], tol)
     return {
-        "coefficients": list(dec.coefficients),
+        "coefficients": dec.coefficients,
         "residual_norm_sq": dec.residual_norm_sq,
-        "degeneracy_groups": [list(g) for g in dec.degeneracy_groups],
-        "a_vectors": [complex_vector(v.amplitudes) for v in dec.a_vectors],
-        "b_vectors": [complex_vector(v.amplitudes) for v in dec.b_vectors],
-        "residual": complex_vector(dec.residual.amplitudes),
+        "degeneracy_groups": dec.degeneracy_groups,
+        "a_vectors": _stack(dec.a_vectors),
+        "b_vectors": _stack(dec.b_vectors),
+        "residual": dec.residual.amplitudes,
     }
 
 
@@ -100,9 +105,9 @@ def _run_joint(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
                for p, phi in zip(parts, party_phis)]
     dist = joint_distribution(psi, composed, spectra, tol)
     return {
-        "subsystems": list(dist.subsystem_ids),
-        "index_ranges": list(dist.index_ranges),
-        "probabilities": dist.clamped_probabilities().tolist(),
+        "subsystems": dist.subsystem_ids,
+        "index_ranges": dist.index_ranges,
+        "probabilities": dist.clamped_probabilities(),
         "total": dist.total,
         "max_imag": dist.max_imag,
         "spectra": [_spectrum_payload(s) for s in spectra],
@@ -116,7 +121,7 @@ def _run_evolve(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     return {
         "t": t,
         "space": psi_t.space_id,
-        "amplitudes": complex_vector(psi_t.amplitudes),
+        "amplitudes": psi_t.amplitudes,
         "norm_sq": psi_t.norm_sq,
         "energy": h.energy(psi_t.amplitudes),
     }
@@ -133,12 +138,12 @@ def _run_trace_trajectory(scenario: Scenario, params, tol: Tolerances, seed) -> 
     )
     traces = traj.relational_traces["subsystem"]
     return {
-        "times": traj.times.tolist(),
-        "traces": traces.tolist(),
-        "deficits": (1.0 - traces).tolist(),
-        "norms": traj.norms.tolist(),
-        "energies": traj.energies.tolist(),
-        "charge_expectations": {k: v.tolist() for k, v in traj.charge_expectations.items()},
+        "times": traj.times,
+        "traces": traces,
+        "deficits": 1.0 - traces,
+        "norms": traj.norms,
+        "energies": traj.energies,
+        "charge_expectations": traj.charge_expectations,
     }
 
 
@@ -167,16 +172,17 @@ def _run_sample(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     dec = possible_internal_states(rho, tol)
     outcomes = sample_internal_states(dec, count, int(task_seed))
     annihilated_index = dec.outcome_count
-    counts = {str(j): int(np.sum(outcomes == j)) for j in range(dec.outcome_count)}
-    counts["annihilated"] = int(np.sum(outcomes == annihilated_index))
+    tally = np.bincount(outcomes, minlength=annihilated_index + 1).tolist()
+    counts = {str(j): tally[j] for j in range(annihilated_index)}
+    counts["annihilated"] = tally[annihilated_index]
     return {
         "seed": int(task_seed),
         "count": count,
         "generator": "PCG64",
-        "eigenvalues": list(dec.eigenvalues),
+        "eigenvalues": dec.eigenvalues,
         "annihilation_probability": dec.annihilation_probability,
         "annihilated_index": annihilated_index,
-        "outcomes": outcomes.tolist(),
+        "outcomes": outcomes,
         "counts": counts,
     }
 

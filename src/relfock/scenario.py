@@ -33,15 +33,17 @@ A scenario is a JSON document with schema tag "relfock.scenario/1":
 
 Complex numbers are [re, im] pairs (bare reals are accepted on input). All
 name references are resolved at load time; dangling references, non-isometric
-explicit embeddings, non-Hermitian Hamiltonians, non-normalized states and
-spaces of more than MAX_DIMENSION basis states are load errors. Task commands
-and their parameters are documented in runner.py.
+explicit embeddings, non-Hermitian Hamiltonians, non-normalized states,
+spaces of more than MAX_DIMENSION basis states and strings that cannot be
+written as UTF-8 (a lone surrogate from an escape such as "\\ud800") are load
+errors. Task commands and their parameters are documented in runner.py.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -320,6 +322,29 @@ def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace]
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+# A \uD800-\uDFFF escape: the only way a UTF-8 document can hold a string
+# that is not valid Unicode text (a lone surrogate).
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
+def _check_strings(node: Any, where: str) -> None:
+    """Raise a located ScenarioError for the first key or string value below
+    node that cannot be encoded as UTF-8."""
+    if isinstance(node, str):
+        try:
+            node.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ScenarioError(f"{where}: string {node!r} is not valid Unicode text"
+                                f" ({exc.reason})") from None
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            _check_strings(key, f"a key of {where or 'the top level'}")
+            _check_strings(value, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_strings(value, f"{where}[{i}]")
+
+
 def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
     """Parse and fully validate a scenario file."""
     tol = resolve(tol)
@@ -338,6 +363,8 @@ def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
         ) from exc
     if not isinstance(doc, Mapping):
         raise ScenarioError(f"{path}: top level must be an object")
+    if _SURROGATE_ESCAPE.search(raw):
+        _check_strings(doc, "")
     schema = doc.get("schema")
     if schema != SCENARIO_SCHEMA:
         raise ScenarioError(

@@ -230,6 +230,13 @@ class TestCliContract:
             golden = (GOLDEN_DIR / f"{name}.report.json").read_bytes()
             assert out.read_bytes() == golden, f"{name} report deviates from golden"
 
+    def test_text_reports_match_goldens(self):
+        for name in ("bell", "product", "annihilation"):
+            proc = run_cli(str(scenario_path(name)))
+            assert proc.returncode == 0, proc.stderr.decode()
+            golden = (GOLDEN_DIR / f"{name}.report.txt").read_bytes()
+            assert proc.stdout == golden, f"{name} text report deviates from golden"
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
@@ -291,12 +298,21 @@ class TestCliContract:
         lambda: edited("annihilation", lambda doc: doc["states"].__setitem__(
             0, {"name": "pair", "space": "U", "amplitudes": [10**400] + [0] * 7})),
         lambda: edited("product", lambda doc: doc["tasks"][3].update(state=None)),
+        lambda: edited("bell", lambda doc: doc["tasks"][0].update(name="\ud800x")),
+        lambda: edited("bell", lambda doc: doc["tasks"][0].update(command="\ud800x")),
+        lambda: edited("bell", lambda doc: (doc["spaces"][0]["modes"][0].update(label="\ud800"),
+                                            doc["embeddings"][0].update(
+                                                subsystem_modes=["\ud800"]))),
+        lambda: edited("bell", lambda doc: (doc["states"][0].update(name="\ud800"),
+                                            [t.update(state="\ud800") for t in doc["tasks"]])),
     ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
             "name-as-list", "charges-list", "subsystem-modes-int", "complementer-modes-int",
             "frozen-null", "occupations-int", "index-null", "seed-null",
             "term-not-object", "label-list", "label-int", "charge-beyond-int64",
             "charge-below-int64", "total-charge-beyond-int64", "charge-bool",
-            "max-occupation-bool", "amplitude-beyond-float", "task-reference-null"])
+            "max-occupation-bool", "amplitude-beyond-float", "task-reference-null",
+            "surrogate-task-name", "surrogate-command", "surrogate-mode-label",
+            "surrogate-state-name"])
     def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
         path = tmp_path / "scenario.json"
         path.write_bytes(scenario_bytes())

@@ -2,7 +2,6 @@
 distributions."""
 from __future__ import annotations
 
-import json
 from functools import reduce
 
 import numpy as np
@@ -32,7 +31,7 @@ from relfock import (
     tensor_product,
     validate_embedding,
 )
-from relfock.report import complex_vector
+from relfock.report import canonical_json
 from relfock.scenario import Scenario, Task
 
 from conftest import qudit_space, random_pair
@@ -311,6 +310,11 @@ def random_joint_case(seed: int):
     return StateVector(ref.space_id, amps / np.linalg.norm(amps)), parts
 
 
+def pairs(values: np.ndarray) -> list:
+    """Complex entries as explicit [re, im] lists."""
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
 def regrouped_joint_payload(psi, parts) -> dict:
     """The joint task's result built through one regrouped embedding per party."""
     joint = compose_embeddings(parts)
@@ -328,7 +332,7 @@ def regrouped_joint_payload(psi, parts) -> dict:
             "annihilation_probability": s.annihilation_probability,
             "degeneracy_groups": [list(g) for g in s.degeneracy_groups],
             "dropped": s.dropped_count,
-            "eigenvectors": [complex_vector(v.amplitudes) for v in s.eigenvectors],
+            "eigenvectors": [pairs(v.amplitudes) for v in s.eigenvectors],
         } for s in spectra],
     }
 
@@ -337,7 +341,7 @@ class TestJointTask:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_regrouped_reference_without_regrouping(self, seed, monkeypatch):
         psi, parts = random_joint_case(seed)
-        expected = json.dumps(regrouped_joint_payload(psi, parts), sort_keys=True)
+        expected = canonical_json(regrouped_joint_payload(psi, parts))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the joint task built a regrouped embedding")
@@ -349,4 +353,4 @@ class TestJointTask:
                             tasks=(Task("joint", "joint", {"state": "psi", "embeddings": names}),))
         task = run_scenario(scenario).tasks[0]
         assert task.status == "ok", task.error
-        assert json.dumps(task.result, sort_keys=True) == expected
+        assert canonical_json(task.result) == expected

@@ -4,7 +4,10 @@ ScenarioError, which the CLI reports with exit code 2 and no traceback. A
 scenario that loads then runs its tasks, and no task may fail with an
 OverflowError: out-of-range values are load errors. A task may still fail on
 its own parameters (a TypeError for a mistyped one), which the CLI reports
-with exit code 1."""
+with exit code 1. Every report that runs is serialized in both formats, and
+its machine bytes must be what the json module writes for the same values:
+the fuzzed reports, error payloads included, are an oracle for the report
+writer."""
 from __future__ import annotations
 
 import copy
@@ -17,9 +20,11 @@ from relfock import ScenarioError, load_scenario, run_scenario
 
 BUNDLED = ("bell", "product", "annihilation")
 
-# Values of every JSON type, plus numbers the loader must range-check.
-# MAX_DIMENSION stops a huge max_occupation before any space is enumerated.
-POOL = (None, True, False, 0, 1, -1, 1.5, "", "x", [], [1], ["a"], {}, {"a": 1}, 10**30)
+# Values of every JSON type, plus numbers the loader must range-check and a
+# lone surrogate, which no UTF-8 report can hold. MAX_DIMENSION stops a huge
+# max_occupation before any space is enumerated.
+POOL = (None, True, False, 0, 1, -1, 1.5, "", "x", [], [1], ["a"], {}, {"a": 1}, 10**30,
+        "\ud800")
 
 
 def _document(name: str) -> dict:
@@ -55,5 +60,10 @@ def test_edited_scenario_loads_or_raises_scenario_error(tmp_path_factory, name, 
         loaded = load_scenario(scenario)
     except ScenarioError:
         return
-    errors = [t.error for t in run_scenario(loaded, seed=0).tasks if t.status != "ok"]
+    report = run_scenario(loaded, seed=0)
+    errors = [t.error for t in report.tasks if t.status != "ok"]
     assert not [e for e in errors if e["type"] == "OverflowError"], errors
+    report.to_text().encode("utf-8")
+    machine = report.to_machine_bytes()
+    assert machine == (json.dumps(json.loads(machine), sort_keys=True, indent=2,
+                                  ensure_ascii=False) + "\n").encode("utf-8")
