@@ -7,11 +7,16 @@ hermitizes each term from those maps, and keeps H as its nonzero entries
 Evolution is the exact matrix exponential through an eigendecomposition per
 conserved block (a connected component of H's nonzero pattern), computed once
 per Hamiltonian, so norm and energy are conserved to solver precision.
+Coefficients are finite reals and every factor weight is real, so an
+assembled H is real symmetric and its blocks are diagonalized in real
+arithmetic.
 A trilinear conversion family moves quanta out of an embedded product
 subspace, which is how a relational trace dynamically drops below one.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
@@ -41,9 +46,16 @@ class HamiltonianTerm:
     factors: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if isinstance(self.coefficient, complex):
-            raise ValueError("term coefficients must be real")
-        coeff = float(self.coefficient)
+        coeff = self.coefficient
+        # numbers.Real admits numpy reals but no complex type, numpy's included
+        try:
+            finite = isinstance(coeff, numbers.Real) and not isinstance(coeff, bool) \
+                and math.isfinite(coeff)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"term coefficients must be finite real numbers, got {coeff!r}")
+        coeff = float(coeff)
         factors = tuple((str(kind), str(label)) for kind, label in self.factors)
         for kind, _ in factors:
             if kind not in _FACTOR_KINDS:
@@ -155,9 +167,12 @@ class SectorEigensystem:
 def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
     """Split H into the connected components of its nonzero pattern and
     diagonalize them, with one stacked ``eigh`` per block size. Size-1 blocks
-    are their diagonal entry and other blocks are gathered from the triplets;
-    a single block spanning the space goes to ``eigh`` as ``h.matrix``."""
+    are their diagonal entry and other blocks are gathered from the triplets,
+    a single block spanning the space included. A real H (every Hamiltonian
+    ``build_hamiltonian`` assembles) is gathered and diagonalized in real
+    arithmetic; the eigenvectors are stored complex either way."""
     n, rows, cols = h.space.dimension, h.rows, h.cols
+    vals = h.vals if h.vals.imag.any() else h.vals.real
     # Min-label propagation with pointer jumping over the (symmetric) pattern:
     # label[i] is always a member of i's block no larger than i, and settles
     # on the block's smallest index.
@@ -184,16 +199,14 @@ def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
             diag[rows[on]] = h.vals[on].real
             w = diag[idx]
             u = np.ones((len(idx), 1, 1), dtype=np.complex128)
-        elif s == n:
-            w, u = np.linalg.eigh(h.matrix)
-            w, u = w[None], u[None]
         else:
             # entry (r, c) of block b sits at row rank[r] - start of the
             # (k*s, s) stack and at column (rank[c] - start) % s
             sel = inside & (size[rows] == s)
-            stacked = np.zeros((idx.size, s), dtype=np.complex128)
-            stacked[rank[rows[sel]] - start, (rank[cols[sel]] - start) % s] = h.vals[sel]
+            stacked = np.zeros((idx.size, s), dtype=vals.dtype)
+            stacked[rank[rows[sel]] - start, (rank[cols[sel]] - start) % s] = vals[sel]
             w, u = np.linalg.eigh(stacked.reshape(-1, s, s))
+            u = u.astype(np.complex128, copy=False)
         for arr in (idx, w, u):
             arr.flags.writeable = False
         blocks.append((idx, w, u))
@@ -237,7 +250,7 @@ def build_hamiltonian(space: FockSpace,
     h = HamiltonianSpec(space=space, terms=parsed,
                         rows=rows[live], cols=cols[live], vals=vals[live])
     dev = _hermiticity_deviation(h)
-    if dev >= tol.herm:
+    if not dev < tol.herm:  # NaN fails too
         raise ValueError(f"assembled Hamiltonian is not Hermitian: max dev {dev:g}")
     return h
 
@@ -331,7 +344,7 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
             phi = pull_back(state, emb)
             traces[key][i] = float(np.vdot(phi, phi).real)
     drift = float(np.abs(norms - 1.0).max()) if len(times_arr) else 0.0
-    if drift >= tol.evolve:
+    if not drift < tol.evolve:  # NaN fails too
         raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")
     return Trajectory(times=times_arr, states=states, norms=norms, energies=energies,
                       charge_expectations=charges, relational_traces=traces)

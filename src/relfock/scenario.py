@@ -33,7 +33,8 @@ A scenario is a JSON document with schema tag "relfock.scenario/1":
 
 Complex numbers are [re, im] pairs (bare reals are accepted on input). All
 name references are resolved at load time; dangling references, non-isometric
-explicit embeddings, non-Hermitian Hamiltonians, non-normalized states,
+explicit embeddings, non-Hermitian Hamiltonians, term coefficients that are
+not finite real numbers (NaN, Infinity, true), non-normalized states,
 spaces of more than MAX_DIMENSION basis states and strings that cannot be
 written as UTF-8 (a lone surrogate from an escape such as "\\ud800") are load
 errors. Task commands and their parameters are documented in runner.py.
@@ -51,7 +52,7 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import HamiltonianSpec, build_hamiltonian
+from .dynamics import HamiltonianSpec, HamiltonianTerm, build_hamiltonian
 from .errors import EmbeddingValidationError, ScenarioError
 from .hilbert import (
     Embedding,
@@ -69,9 +70,10 @@ from .hilbert import (
 from .tolerances import Tolerances, resolve
 
 SCENARIO_SCHEMA = "relfock.scenario/1"
-# Largest space a scenario may declare: one D x D complex128 matrix at this
-# dimension (a Hamiltonian whose one conserved block spans the space, or an
-# explicit isometry onto a product of the same dimension) takes 4 GiB. Mode
+# Largest space a scenario may declare. At this dimension a Hamiltonian whose
+# one conserved block spans the space goes to eigh as a real D x D matrix
+# (2 GiB) and yields complex D x D eigenvectors (4 GiB); an explicit isometry
+# onto a product of the same dimension is a 4 GiB complex matrix. Mode
 # partitions are index maps of 8 bytes per column; other Hamiltonians are
 # their nonzero entries.
 MAX_DIMENSION = 2 ** 14
@@ -309,13 +311,14 @@ def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace]
         if not isinstance(term, Mapping):
             raise ScenarioError(f"{twhere}: expected an object, got {term!r}")
         coeff = _require(term, "coefficient", twhere)
-        if not isinstance(coeff, (int, float)):
-            raise ScenarioError(f"{twhere}: coefficient must be a real number")
         factors = term.get("factors", [])
         if not isinstance(factors, list) \
                 or not all(isinstance(f, list) and len(f) == 2 for f in factors):
             raise ScenarioError(f"{twhere}: factors must be a list of [kind, mode label] pairs")
-        terms.append((float(coeff), tuple((str(k), str(l)) for k, l in factors)))
+        try:
+            terms.append(HamiltonianTerm(coeff, tuple((str(k), str(l)) for k, l in factors)))
+        except ValueError as exc:
+            raise ScenarioError(f"{twhere}: {exc}") from exc
     try:
         return build_hamiltonian(space, terms, tol)
     except ValueError as exc:

@@ -305,6 +305,12 @@ class TestCliContract:
                                                 subsystem_modes=["\ud800"]))),
         lambda: edited("bell", lambda doc: (doc["states"][0].update(name="\ud800"),
                                             [t.update(state="\ud800") for t in doc["tasks"]])),
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                       .update(coefficient=float("nan"))),
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                       .update(coefficient=float("inf"))),
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                       .update(coefficient=True)),
     ], ids=["non-utf8", "mode-not-object", "frozen-list", "factor-without-label",
             "name-as-list", "charges-list", "subsystem-modes-int", "complementer-modes-int",
             "frozen-null", "occupations-int", "index-null", "seed-null",
@@ -312,13 +318,25 @@ class TestCliContract:
             "charge-below-int64", "total-charge-beyond-int64", "charge-bool",
             "max-occupation-bool", "amplitude-beyond-float", "task-reference-null",
             "surrogate-task-name", "surrogate-command", "surrogate-mode-label",
-            "surrogate-state-name"])
+            "surrogate-state-name", "coefficient-nan", "coefficient-infinity",
+            "coefficient-bool"])
     def test_malformed_scenario_exits_2_without_traceback(self, tmp_path, scenario_bytes):
         path = tmp_path / "scenario.json"
         path.write_bytes(scenario_bytes())
         proc = run_cli(str(path))
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr and b"error" in proc.stderr
+
+    def test_overflowing_evolution_fails_the_trajectory_task(self, tmp_path):
+        # Phases w t overflow at this coupling, so later states are NaN.
+        path = tmp_path / "scenario.json"
+        path.write_bytes(edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                                .update(coefficient=1e308)))
+        proc = run_cli(str(path), "--format", "machine")
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["deficit_curve"]
+        assert task["status"] == "error"
+        assert task["error"]["message"] == "evolution lost unitarity: max norm drift nan"
 
     def test_dimension_budget_rejects_before_enumeration(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "scenario.json"

@@ -82,6 +82,21 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError, match="real"):
             build_hamiltonian(sp, [(1j, (("number", "a"),))])
 
+    @pytest.mark.parametrize("coefficient", [
+        np.complex64(1 + 1j), np.complex128(1), float("nan"), float("inf"),
+        -np.float32("inf"), 10**400, True, np.True_, "1.0"])
+    def test_coefficient_must_be_finite_real_and_not_boolean(self, coefficient):
+        sp = qudit_space(2, "a")
+        with pytest.raises(ValueError, match="finite real"):
+            build_hamiltonian(sp, [(coefficient, (("number", "a"),))])
+
+    def test_overflowing_entries_are_rejected(self):
+        # A finite coefficient times a ladder weight above one overflows to inf.
+        sp = build_fock_space([ModeSpec("a", "boson", 3), ModeSpec("b", "boson", 3)])
+        with pytest.raises(ValueError, match="not Hermitian: max dev nan"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            build_hamiltonian(sp, [(1.7e308, (("create", "a"), ("annihilate", "b")))])
+
     def test_unknown_label_rejected(self):
         sp = qudit_space(2, "a")
         with pytest.raises(ValueError, match="no mode"):
@@ -325,8 +340,25 @@ class TestSectorEigensystem:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_real_eigensystem_matches_complex_dense_eigh(self, seed, monkeypatch):
+        # Mixed bosons and fermions with Jordan-Wigner signs; eight of these
+        # seeds give one block spanning the space. Propagation on the same
+        # seeds is checked by test_evolution_matches_dense_eigh.
+        space, terms = _random_terms(seed)
+        h = build_hamiltonian(space, terms)
+        seen = _counting_eigh(monkeypatch)
+        eigensystem = h.eigensystem
+        assert all(a.dtype == np.float64 for a in seen)
+        monkeypatch.undo()
+        w = np.linalg.eigh(h.matrix)[0]
+        blocks_w = np.sort(np.concatenate([bw.ravel() for _, bw, _ in eigensystem.blocks]))
+        norm = np.abs(w).max(initial=0.0)
+        assert np.abs(blocks_w - w).max() <= 1e-12 * norm
+        assert all(bu.dtype == np.complex128 for _, _, bu in eigensystem.blocks)
+
     @pytest.mark.parametrize("seed", range(10))
-    def test_complex_scattered_blocks_match_dense_eigh(self, seed):
+    def test_complex_scattered_blocks_match_dense_eigh(self, seed, monkeypatch):
         # Complex Hermitian blocks on random, interleaved index sets.
         rng = np.random.default_rng(seed)
         space = build_fock_space([ModeSpec(f"m{i}", "boson", 1) for i in range(5)])
@@ -335,8 +367,11 @@ class TestSectorEigensystem:
         mat = (mat + mat.conj().T) * (labels[:, None] == labels)
         rows, cols = np.nonzero(mat)
         h = HamiltonianSpec(space, (), rows, cols, mat[rows, cols])
+        seen = _counting_eigh(monkeypatch)
         assert set(_block_sets(h)) == {frozenset(np.flatnonzero(labels == k).tolist())
                                        for k in np.unique(labels)}
+        assert seen and all(a.dtype == np.complex128 for a in seen)
+        monkeypatch.undo()
         psi = random_state_vector(space, seed)
         w, u = np.linalg.eigh(h.matrix)
         expected = u @ (np.exp(-0.8j * w) * (u.conj().T @ psi.amplitudes))
@@ -368,9 +403,14 @@ class TestSectorEigensystem:
         h = build_hamiltonian(space, [(0.3 + i, (("create", f"q{i}"),)) for i in range(4)])
         seen = _counting_eigh(monkeypatch)
         (idx, w, u), = h.eigensystem.blocks
-        assert len(seen) == 1 and seen[0] is h.matrix
+        psi0 = basis_state(space, (0, 0, 0, 0))
+        evolve(psi0, h, 0.5)
+        evolve_trajectory(psi0, h, [0.0, 0.5, 1.0])
+        assert "matrix" not in vars(h)  # evolution builds no dense complex H
+        assert len(seen) == 1 and seen[0].dtype == np.float64 and seen[0].shape == (1, 16, 16)
+        assert seen[0][0].tobytes() == np.ascontiguousarray(h.matrix.real).tobytes()
         assert np.array_equal(idx, np.arange(space.dimension)[None])
-        assert w.shape == (1, 16) and u.shape == (1, 16, 16)
+        assert w.shape == (1, 16) and u.shape == (1, 16, 16) and u.dtype == np.complex128
 
     def test_eigensystem_is_cached_read_only_and_shared(self, monkeypatch):
         space, h, psi0, embedding = pair_annihilation_model()

@@ -132,9 +132,13 @@ def test_containers(value):
     assert_same(value)
 
 
+# Values holding a bare object() get fixed ids: their repr carries a memory
+# address, which would give the test a different name on every run.
 @pytest.mark.parametrize("value", [
-    object(), {1, 2}, b"bytes", np.bool_(True), np.datetime64("2020-01-01"),
-    [1, object()], {"a": {"b": frozenset()}}, np.array([object()], dtype=object),
+    pytest.param(object(), id="object"), {1, 2}, b"bytes", np.bool_(True),
+    np.datetime64("2020-01-01"), pytest.param([1, object()], id="list-with-object"),
+    {"a": {"b": frozenset()}},
+    pytest.param(np.array([object()], dtype=object), id="object-dtype-array"),
     np.array(1.5), np.array(3), np.array(2j),
 ], ids=repr)
 def test_unsupported_values_raise_type_error(value):
