@@ -4,9 +4,9 @@ outcome distributions over several disjoint subsystems.
 When the embedded product space is a proper subspace of the reference space,
 a reference state splits into a Schmidt sum over the image plus a residual
 orthogonal to every product basis state. Joint distributions over n factors
-are computed from the reduced state of the full product factor; their
-marginals reproduce the lower-order distributions down to the single-factor
-eigenvalues.
+are squared norms of the pulled-back state contracted with each factor's
+possible internal states in turn; their marginals reproduce the lower-order
+distributions down to the single-factor eigenvalues.
 """
 from __future__ import annotations
 
@@ -33,12 +33,7 @@ from .hilbert import (
     selection_isometry,
     tensor_product,
 )
-from .relational import (
-    SpectralDecomposition,
-    _degeneracy_groups,
-    _pivot_phase,
-    relational_state,
-)
+from .relational import SpectralDecomposition, _degeneracy_groups, _pivot_phase
 from .tolerances import Tolerances, resolve
 
 
@@ -231,7 +226,8 @@ def _party_pullbacks(psi_R: StateVector, composed: Embedding,
 class JointDistribution:
     """Probability tensor over the possible internal states of n disjoint
     subsystems. Entries can sum to less than one when the reference state has
-    weight outside the joint image."""
+    weight outside the joint image. max_imag is 0.0 for a computed
+    distribution, whose entries are squared norms."""
 
     subsystem_ids: tuple[str, ...]
     index_ranges: tuple[int, ...]
@@ -267,10 +263,10 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
     """P(j_1, ..., j_n): probability that each subsystem's realized internal
     state is the j_i-th possible one, simultaneously.
 
-    Each entry is the expectation of the product projector in the reduced
-    state of the joint factor. The spectra must come from the same reference
-    state through regroupings of the same composed embedding; this is
-    re-verified by checking that the single-axis marginals reproduce each
+    Each entry is the squared norm |(v_j1 (x) ... (x) v_jn (x) 1_B)^dagger
+    V^dagger psi|^2, so max_imag is 0.0. The spectra must come from the same
+    reference state through regroupings of the same composed embedding; this
+    is re-verified by checking that the single-axis marginals reproduce each
     spectrum's eigenvalues.
     """
     tol = resolve(tol)
@@ -286,12 +282,12 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
             f" {composed.subsystem.dimension}"
         )
 
-    rho = relational_state(psi_I, composed, "A", tol)
-    basis = reduce(np.kron, [s.eigenvector_matrix() for s in spectra])
-    raw = np.einsum("dm,dm->m", basis.conj(), rho.matrix @ basis)
-    max_imag = float(np.abs(raw.imag).max())
-    ranges = tuple(s.outcome_count for s in spectra)
-    probs = raw.real.reshape(ranges)
+    amps = pull_back(psi_I, composed).reshape(*dims, -1)
+    if not psi_I.is_normalized(tol):
+        raise ValueError(f"reference state must be unit norm; |psi|^2 = {psi_I.norm_sq!r}")
+    for s in spectra:  # each contraction appends that party's outcome axis
+        amps = np.tensordot(amps, s.eigenvector_matrix().conj(), (0, 0))
+    probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=0)
 
     for axis, spectrum in enumerate(spectra):
         marg = probs.sum(axis=tuple(i for i in range(len(spectra)) if i != axis))
@@ -306,8 +302,8 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
 
     return JointDistribution(
         subsystem_ids=tuple(s.space_id for s in spectra),
-        index_ranges=ranges,
+        index_ranges=probs.shape,
         probabilities=probs,
         total=float(probs.sum()),
-        max_imag=max_imag,
+        max_imag=0.0,
     )

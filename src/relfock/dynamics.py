@@ -284,12 +284,16 @@ def hopping_hamiltonian(space: FockSpace, coupling: float,
 def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
            tol: Tolerances | None = None) -> StateVector:
     """psi(t) = exp(-i H t) psi0, exact through the eigendecomposition of
-    each conserved block of H."""
+    each conserved block of H; raises if the result has drifted off unit norm."""
     tol = resolve(tol)
     psi0.require_space(h.space_id, h.space.dimension)
     if not psi0.is_normalized(tol):
         raise ValueError(f"initial state must be unit norm; |psi|^2 = {psi0.norm_sq!r}")
-    return StateVector(psi0.space_id, h.eigensystem.propagate(psi0.amplitudes, float(t)))
+    amps = h.eigensystem.propagate(psi0.amplitudes, float(t))
+    drift = abs(float(np.vdot(amps, amps).real) - 1.0)
+    if not drift < tol.evolve:  # NaN fails too
+        raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")
+    return StateVector(psi0.space_id, amps)
 
 
 @dataclass

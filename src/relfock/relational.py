@@ -48,18 +48,6 @@ class DensityOperator:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def check_invariants(self, tol: Tolerances | None = None) -> None:
-        """Raise if the operator is not Hermitian PSD with trace <= 1."""
-        tol = resolve(tol)
-        herm_dev = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm_dev >= tol.herm:
-            raise ValueError(f"density operator not Hermitian: max dev {herm_dev:g}")
-        min_eig = float(np.linalg.eigvalsh(self.matrix)[0])
-        if min_eig <= -tol.psd:
-            raise ValueError(f"density operator not PSD: min eigenvalue {min_eig:g}")
-        if self.trace > 1.0 + tol.norm:
-            raise ValueError(f"density operator trace {self.trace:g} exceeds one")
-
 
 Factor = Literal["A", "B"]
 
@@ -183,10 +171,17 @@ def _deterministic_group_basis(vectors: np.ndarray) -> np.ndarray:
 def possible_internal_states(rho: DensityOperator,
                              tol: Tolerances | None = None) -> SpectralDecomposition:
     """Eigenvalues and eigenvectors of a relational state, with the trace
-    deficit reported as the probability of annihilation."""
+    deficit reported as the probability of annihilation. Raises unless rho
+    is Hermitian PSD with trace <= 1."""
     tol = resolve(tol)
-    rho.check_invariants(tol)
+    herm_dev = float(np.abs(rho.matrix - rho.matrix.conj().T).max())
+    if herm_dev >= tol.herm:
+        raise ValueError(f"density operator not Hermitian: max dev {herm_dev:g}")
     w, v = np.linalg.eigh(rho.matrix)
+    if w[0] <= -tol.psd:
+        raise ValueError(f"density operator not PSD: min eigenvalue {float(w[0]):g}")
+    if rho.trace > 1.0 + tol.norm:
+        raise ValueError(f"density operator trace {rho.trace:g} exceeds one")
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]

@@ -61,10 +61,15 @@ def _spectrum_payload(dec) -> dict:
     }
 
 
+def _task_relational_state(scenario: Scenario, params, tol: Tolerances):
+    """The relational state named by a task's state, embedding and factor."""
+    return relational_state(scenario.states[params["state"]],
+                            scenario.embeddings[params["embedding"]],
+                            params.get("factor", "A"), tol)
+
+
 def _run_reduce(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    rho = relational_state(scenario.states[params["state"]],
-                           scenario.embeddings[params["embedding"]],
-                           params.get("factor", "A"), tol)
+    rho = _task_relational_state(scenario, params, tol)
     return {
         "space": rho.space_id,
         "matrix": rho.matrix,
@@ -74,9 +79,7 @@ def _run_reduce(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
 
 
 def _run_spectrum(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    rho = relational_state(scenario.states[params["state"]],
-                           scenario.embeddings[params["embedding"]],
-                           params.get("factor", "A"), tol)
+    rho = _task_relational_state(scenario, params, tol)
     return _spectrum_payload(possible_internal_states(rho, tol))
 
 
@@ -166,9 +169,7 @@ def _run_sample(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     if task_seed is None:
         raise ValueError("sample needs a seed (task parameter or --seed)")
     count = int(params.get("count", 100))
-    rho = relational_state(scenario.states[params["state"]],
-                           scenario.embeddings[params["embedding"]],
-                           params.get("factor", "A"), tol)
+    rho = _task_relational_state(scenario, params, tol)
     dec = possible_internal_states(rho, tol)
     outcomes = sample_internal_states(dec, count, int(task_seed))
     annihilated_index = dec.outcome_count

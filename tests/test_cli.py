@@ -338,6 +338,18 @@ class TestCliContract:
         assert task["status"] == "error"
         assert task["error"]["message"] == "evolution lost unitarity: max norm drift nan"
 
+    def test_overflowing_evolution_fails_the_evolve_task(self, tmp_path):
+        def edit(doc):
+            doc["hamiltonians"][0]["terms"][0].update(coefficient=1e308)
+            next(t for t in doc["tasks"] if t["name"] == "halfway").update(t=10.0)
+        path = tmp_path / "scenario.json"
+        path.write_bytes(edited("annihilation", edit))
+        proc = run_cli(str(path), "--format", "machine")
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["halfway"]
+        assert task["status"] == "error"
+        assert task["error"]["message"] == "evolution lost unitarity: max norm drift nan"
+
     def test_dimension_budget_rejects_before_enumeration(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "scenario.json"
         path.write_bytes(edited("annihilation", lambda doc: doc["spaces"][0]["modes"][2]

@@ -2,6 +2,7 @@
 distributions."""
 from __future__ import annotations
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -354,3 +355,77 @@ class TestJointTask:
         task = run_scenario(scenario).tasks[0]
         assert task.status == "ok", task.error
         assert canonical_json(task.result) == expected
+
+
+def kron_joint_reference(psi, joint, spectra) -> np.ndarray:
+    """The Kronecker-basis formula: the diagonal of K^dagger rho_A K, with
+    rho_A the joint factor's reduced state and K the Kronecker product of
+    every party's eigenvector matrix."""
+    rho = relational_state(psi, joint, "A")
+    basis = reduce(np.kron, [s.eigenvector_matrix() for s in spectra])
+    raw = np.einsum("dm,dm->m", basis.conj(), rho.matrix @ basis)
+    return raw.real.reshape(tuple(s.outcome_count for s in spectra))
+
+
+JOINT_SEEDS = range(48)
+
+
+class TestJointContraction:
+    @pytest.mark.parametrize("seed", JOINT_SEEDS)
+    def test_matches_kronecker_reference(self, seed):
+        psi, parts = random_joint_case(seed)
+        joint = compose_embeddings(parts)
+        spectra = spectra_for(psi, joint, [p.subsystem for p in parts])
+        dist = joint_distribution(psi, joint, spectra)
+        expected = kron_joint_reference(psi, joint, spectra)
+        assert dist.index_ranges == expected.shape
+        np.testing.assert_allclose(dist.probabilities, expected, rtol=0, atol=1e-15)
+        assert dist.max_imag == 0.0
+        assert dist.total == pytest.approx(float(expected.sum()), abs=1e-14)
+
+    def test_reference_draws_cover_frozen_modes_cutoffs_and_charge_eigenstates(self):
+        frozen = cutoff_two = charge_eigenstates = 0
+        for seed in JOINT_SEEDS:
+            psi, parts = random_joint_case(seed)
+            frozen += any(p.partition.frozen for p in parts)
+            cutoff_two += any(m.max_occupation == 2 for m in parts[0].reference.modes)
+            charges = charge_values(parts[0].reference, "electric")
+            support = np.abs(psi.amplitudes) > 0
+            charge_eigenstates += len(np.unique(charges[support])) == 1
+        assert frozen >= 10 and cutoff_two >= 10 and charge_eigenstates >= 10
+
+    @staticmethod
+    def relations_shape_case():
+        """12 two-level modes, three 3-mode parties, the first with one more
+        mode frozen at occupation 0: dim(A) = 512, dim(B) = 4."""
+        modes = [ModeSpec(f"m{i}", "fermion" if i % 2 else "boson", 1) for i in range(12)]
+        ref = build_fock_space(modes, "R12")
+        labels = list(ref.mode_labels)
+        parts = [mode_partition_embedding(ref, labels[0:3], frozen={labels[9]: 0}),
+                 mode_partition_embedding(ref, labels[3:6]),
+                 mode_partition_embedding(ref, labels[6:9])]
+        psi = random_state_vector(ref, seed=12)
+        joint = compose_embeddings(parts)
+        spectra = spectra_for(psi, joint, [p.subsystem for p in parts])
+        return psi, joint, spectra
+
+    def test_relations_shape_builds_no_kronecker_product(self, monkeypatch):
+        psi, joint, spectra = self.relations_shape_case()
+        assert joint.subsystem.dimension == 512 and joint.complementer.dimension == 4
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("joint_distribution built a Kronecker product")
+        monkeypatch.setattr(np, "kron", refuse)
+        dist = joint_distribution(psi, joint, spectra)
+        assert dist.index_ranges == tuple(s.outcome_count for s in spectra)
+
+    def test_relations_shape_allocates_less_than_one_joint_matrix(self):
+        psi, joint, spectra = self.relations_shape_case()
+        dim_a = joint.subsystem.dimension
+        tracemalloc.start()
+        try:
+            joint_distribution(psi, joint, spectra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim_a * dim_a * np.dtype(np.complex128).itemsize

@@ -186,6 +186,37 @@ class TestPossibleInternalStates:
         with pytest.raises(ValueError, match="Hermitian"):
             possible_internal_states(not_herm)
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0.5, 0.4], [0.0, 0.5]], "density operator not Hermitian: max dev 0.4"),
+        ([[0.9, 0.0], [0.0, -0.1]], "density operator not PSD: min eigenvalue -0.1"),
+        ([[0.7, 0.0], [0.0, 0.6]], "density operator trace 1.3 exceeds one"),
+    ], ids=["not-hermitian", "not-psd", "trace-above-one"])
+    def test_each_invariant_rejected_with_its_message(self, matrix, message):
+        rho = DensityOperator.from_matrix("x", np.array(matrix))
+        with pytest.raises(ValueError) as info:
+            possible_internal_states(rho)
+        assert str(info.value) == message
+
+    def test_one_eigensolve_per_spectrum(self, monkeypatch):
+        psi, e = random_pair(321)
+        rho = relational_state(psi, e, "A")
+        expected = possible_internal_states(rho)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("possible_internal_states called eigvalsh")
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        dec = possible_internal_states(rho)
+        assert calls == [rho.matrix.shape]
+        assert dec.eigenvalues == expected.eigenvalues
+        with pytest.raises(ValueError, match="PSD"):
+            possible_internal_states(DensityOperator.from_matrix("x", np.diag([0.9, -0.1])))
+
     def test_degenerate_basis_is_deterministic(self):
         rho = DensityOperator.from_matrix("q", np.eye(2) / 2)
         d1 = possible_internal_states(rho)
