@@ -14,6 +14,14 @@ from .scenario import load_scenario
 from .tolerances import Tolerances
 
 
+def tolerance(text: str) -> float:
+    """A tolerance flag's value: a finite number greater than 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number greater than 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relfock",
@@ -25,12 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     parser.add_argument("--seed", type=int, default=None,
                         help="default seed for sample tasks without one")
-    parser.add_argument("--tol-norm", type=float, default=None,
-                        help="override the unit-norm/trace tolerance")
-    parser.add_argument("--tol-herm", type=float, default=None,
-                        help="override the Hermiticity/isometry tolerance")
-    parser.add_argument("--tol-ssr", type=float, default=None,
-                        help="override the superselection off-block tolerance")
+    for kind, what in (("norm", "unit-norm/trace"), ("herm", "Hermiticity/isometry"),
+                       ("ssr", "superselection off-block")):
+        parser.add_argument(f"--tol-{kind}", type=tolerance, default=None,
+                            help=f"override the {what} tolerance")
     parser.add_argument("--validate-only", action="store_true",
                         help="load and validate the scenario, run nothing")
     return parser
@@ -38,14 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.tol_norm is not None:
-        overrides["norm"] = args.tol_norm
-    if args.tol_herm is not None:
-        overrides["herm"] = args.tol_herm
-    if args.tol_ssr is not None:
-        overrides["ssr"] = args.tol_ssr
-    tol = Tolerances().with_overrides(**overrides)
+    overrides = {k: getattr(args, f"tol_{k}") for k in ("norm", "herm", "ssr")}
+    tol = Tolerances().with_overrides(**{k: v for k, v in overrides.items() if v is not None})
 
     try:
         scenario = load_scenario(args.scenario, tol)

@@ -26,7 +26,6 @@ Index conventions, used everywhere without exception:
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -118,29 +117,18 @@ class FockSpace:
         labels = [m.label for m in self.modes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in space {self.space_id!r}: {labels}")
-        reach: dict[str, int] = {}
-        for m in self.modes:
-            for kind, q in m.charges:
-                reach[kind] = reach.get(kind, 0) + abs(q) * m.max_occupation
-        for kind, r in reach.items():
-            if r > INT64_MAX:
+        for kind in CHARGE_KINDS:
+            reach = sum(abs(m.charge(kind)) * m.max_occupation for m in self.modes)
+            if reach > INT64_MAX:
                 raise ValueError(f"total {kind} charge in space {self.space_id!r} can reach"
-                                 f" {r}, outside int64")
+                                 f" {reach}, outside int64")
         dims = [m.local_dimension for m in self.modes]
-        dimension = 1
-        for d in dims:
-            dimension *= d
-        strides = []
-        acc = 1
-        for d in reversed(dims):
-            strides.append(acc)
-            acc *= d
-        strides.reverse()
-        occ = np.array(list(itertools.product(*[range(d) for d in dims])), dtype=np.int64)
-        occ = occ.reshape(dimension, len(self.modes))
+        dimension = math.prod(dims)
+        strides = tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
+        occ = np.indices(dims, dtype=np.int64).reshape(len(dims), dimension).T
         occ.flags.writeable = False
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_strides", strides)
         object.__setattr__(self, "_occupations", occ)
 
     @classmethod
@@ -317,8 +305,6 @@ def charge_values(space: FockSpace, kind: str) -> np.ndarray:
     if kind not in CHARGE_KINDS:
         raise ValueError(f"unknown charge kind {kind!r}")
     per_mode = np.array([m.charge(kind) for m in space.modes], dtype=np.int64)
-    if len(space.modes) == 0:
-        return np.zeros(1, dtype=np.int64)
     return space.basis_occupations @ per_mode
 
 

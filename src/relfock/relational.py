@@ -172,15 +172,15 @@ def possible_internal_states(rho: DensityOperator,
                              tol: Tolerances | None = None) -> SpectralDecomposition:
     """Eigenvalues and eigenvectors of a relational state, with the trace
     deficit reported as the probability of annihilation. Raises unless rho
-    is Hermitian PSD with trace <= 1."""
+    is Hermitian PSD with trace <= 1; a NaN entry fails the Hermitian check."""
     tol = resolve(tol)
     herm_dev = float(np.abs(rho.matrix - rho.matrix.conj().T).max())
-    if herm_dev >= tol.herm:
+    if not herm_dev < tol.herm:
         raise ValueError(f"density operator not Hermitian: max dev {herm_dev:g}")
     w, v = np.linalg.eigh(rho.matrix)
-    if w[0] <= -tol.psd:
+    if not w[0] > -tol.psd:
         raise ValueError(f"density operator not PSD: min eigenvalue {float(w[0]):g}")
-    if rho.trace > 1.0 + tol.norm:
+    if not rho.trace <= 1.0 + tol.norm:
         raise ValueError(f"density operator trace {rho.trace:g} exceeds one")
     order = np.argsort(w)[::-1]
     w = w[order]

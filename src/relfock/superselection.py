@@ -1,10 +1,11 @@
 """Charge sectors and superselection checks.
 
 Basis states are grouped by total additive charge using exact integer
-arithmetic. If the reference state is a charge eigenstate and the embedding
-respects the additive structure, the reduced state of any factor is
-block-diagonal across that factor's charge sectors; check_superselection
-measures the largest off-sector matrix element.
+arithmetic, as the ascending distinct charges plus one int64 label per basis
+state, the position of its charge there. If the reference state is a charge
+eigenstate and the embedding respects the additive structure, the reduced
+state of any factor is block-diagonal across that factor's charge sectors;
+check_superselection measures the largest off-sector matrix element.
 """
 from __future__ import annotations
 
@@ -13,40 +14,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChargeCompatibilityError
-from .hilbert import Embedding, FockSpace, StateVector, charge_values, column_charges
+from .hilbert import (Embedding, FockSpace, StateVector, charge_values, column_charges,
+                      read_only)
 from .relational import relational_state
 from .tolerances import Tolerances, resolve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorDecomposition:
-    """Partition of a space's basis indices by total charge value."""
+    """Partition of a space's basis indices by total charge value: the
+    distinct charges ascending (sector_charges) and each basis state's
+    position among them (labels), both read-only int64 arrays."""
 
     space_id: str
     charge_kind: str
-    dimension: int
-    sectors: tuple[tuple[int, tuple[int, ...]], ...]  # (charge, basis indices), charge ascending
+    sector_charges: np.ndarray
+    labels: np.ndarray
 
     @property
     def charges(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.sectors)
+        return tuple(self.sector_charges.tolist())
+
+    @property
+    def sectors(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(charge, basis indices) per sector, charge ascending."""
+        return tuple((q, self.indices(q)) for q in self.charges)
 
     def indices(self, charge: int) -> tuple[int, ...]:
-        for q, idx in self.sectors:
-            if q == charge:
-                return idx
-        raise KeyError(f"no sector with charge {charge}")
+        charges = self.charges
+        if charge not in charges:
+            raise KeyError(f"no sector with charge {charge}")
+        return tuple(np.flatnonzero(self.labels == charges.index(charge)).tolist())
 
 
 def sector_decomposition(space: FockSpace, kind: str) -> SectorDecomposition:
     """Group basis states by total charge (exact integers)."""
-    values = charge_values(space, kind)
-    by_charge: dict[int, list[int]] = {}
-    for i, q in enumerate(values):
-        by_charge.setdefault(int(q), []).append(i)
-    sectors = tuple((q, tuple(by_charge[q])) for q in sorted(by_charge))
+    charges, labels = np.unique(charge_values(space, kind), return_inverse=True)
     return SectorDecomposition(space_id=space.space_id, charge_kind=kind,
-                               dimension=space.dimension, sectors=sectors)
+                               sector_charges=read_only(charges, np.int64),
+                               labels=read_only(labels, np.int64))
 
 
 def is_charge_eigenstate(psi: StateVector, dec: SectorDecomposition,
@@ -54,7 +60,7 @@ def is_charge_eigenstate(psi: StateVector, dec: SectorDecomposition,
     """The charge value whose sector holds essentially all amplitude weight,
     or None if the state straddles sectors."""
     tol = resolve(tol)
-    if psi.space_id != dec.space_id or psi.dimension != dec.dimension:
+    if psi.space_id != dec.space_id or psi.dimension != dec.labels.size:
         raise ValueError(
             f"state in {psi.space_id!r} does not match sector decomposition of"
             f" {dec.space_id!r}"
@@ -63,11 +69,9 @@ def is_charge_eigenstate(psi: StateVector, dec: SectorDecomposition,
     total = float(weights.sum())
     if total == 0.0:
         return None
-    for q, idx in dec.sectors:
-        inside = float(weights[list(idx)].sum())
-        if total - inside < tol.norm:
-            return q
-    return None
+    inside = np.bincount(dec.labels, weights=weights)
+    held = np.flatnonzero(total - inside < tol.norm)
+    return int(dec.sector_charges[held[0]]) if held.size else None
 
 
 @dataclass(frozen=True)
@@ -86,29 +90,25 @@ class SuperselectionReport:
     tolerance: float
 
 
-def _column_sectors(e: Embedding, kind: str, tol: Tolerances) -> np.ndarray:
+def _column_sectors(e: Embedding, ref_sectors: SectorDecomposition,
+                    tol: Tolerances) -> np.ndarray:
     """Reference-space sector of every embedding column, or raise if any
     column straddles sectors. A zero column counts as the lowest sector."""
-    charges = column_charges(e, kind)
+    charges = column_charges(e, ref_sectors.charge_kind)
     if charges is not None:
         return charges
-    ref_sectors = sector_decomposition(e.reference, kind)
     weights = np.abs(e.isometry) ** 2
-    n_cols = weights.shape[1]
-    col_norm = weights.sum(axis=0)
-    sector_weight = np.stack(
-        [weights[list(idx), :].sum(axis=0) for _, idx in ref_sectors.sectors]
-    )  # (n_sectors, n_cols)
+    sector_weight = np.stack([weights[ref_sectors.labels == j].sum(axis=0)
+                              for j in range(ref_sectors.sector_charges.size)])
     best = np.argmax(sector_weight, axis=0)
-    off = col_norm - sector_weight[best, np.arange(n_cols)]
+    off = weights.sum(axis=0) - sector_weight[best, np.arange(weights.shape[1])]
     if float(off.max()) >= tol.norm:
         col = int(np.argmax(off))
         raise ChargeCompatibilityError(
             f"embedding column {col} has weight {float(off[col]):g} outside a single"
             f" {ref_sectors.charge_kind} sector of {e.reference_id!r}"
         )
-    charges = np.array([q for q, _ in ref_sectors.sectors], dtype=np.int64)
-    return charges[best]
+    return ref_sectors.sector_charges[best]
 
 
 def check_embedding_charge_compatibility(e: Embedding, kind: str,
@@ -117,25 +117,35 @@ def check_embedding_charge_compatibility(e: Embedding, kind: str,
     subsystem-plus-complementer charge, one sector per total, distinct totals
     in distinct sectors. Additivity then forces block-diagonal reductions of
     charge-eigenstate references."""
-    tol = resolve(tol)
-    col_charge = _column_sectors(e, kind, tol)
+    _check_compatibility(e, sector_decomposition(e.reference, kind), resolve(tol))
+
+
+def _check_compatibility(e: Embedding, ref_sectors: SectorDecomposition,
+                         tol: Tolerances) -> None:
+    """The compatibility check against given reference sectors; each error
+    names the offender that a scan of the columns in order meets first."""
+    kind = ref_sectors.charge_kind
+    col_charge = _column_sectors(e, ref_sectors, tol)
     q_a = charge_values(e.subsystem, kind)
     q_b = charge_values(e.complementer, kind)
-    totals = (q_a[:, None] + q_b[None, :]).reshape(-1)
-    total_to_sector: dict[int, int] = {}
-    for total, sector in zip(totals, col_charge):
-        if total_to_sector.setdefault(int(total), int(sector)) != int(sector):
-            raise ChargeCompatibilityError(
-                f"columns with total {kind} charge {int(total)} land in different"
-                f" reference sectors"
-            )
-    seen: dict[int, int] = {}
-    for total, sector in total_to_sector.items():
-        if seen.setdefault(sector, total) != total:
-            raise ChargeCompatibilityError(
-                f"distinct total {kind} charges {seen[sector]} and {total} land in the"
-                f" same reference sector"
-            )
+    totals, first, inverse = np.unique((q_a[:, None] + q_b[None, :]).reshape(-1),
+                                       return_index=True, return_inverse=True)
+    sector = col_charge[first]  # the sector of each total's first column
+    clash = sector[inverse] != col_charge
+    if clash.any():
+        raise ChargeCompatibilityError(
+            f"columns with total {kind} charge {int(totals[inverse[np.argmax(clash)]])}"
+            f" land in different reference sectors"
+        )
+    order = np.lexsort((first, sector))  # totals by sector, then by first column
+    shared = np.flatnonzero(sector[order][1:] == sector[order][:-1]) + 1
+    if shared.size:
+        # The total met first whose sector an earlier total holds; it is second in its sector.
+        later = shared[np.argmin(first[order][shared])]
+        raise ChargeCompatibilityError(
+            f"distinct total {kind} charges {int(totals[order[later - 1]])} and"
+            f" {int(totals[order[later]])} land in the same reference sector"
+        )
 
 
 def check_superselection(psi_R: StateVector, e: Embedding, kind: str,
@@ -149,8 +159,8 @@ def check_superselection(psi_R: StateVector, e: Embedding, kind: str,
     """
     tol = resolve(tol)
     psi_R.require_space(e.reference_id, e.reference.dimension)
-    check_embedding_charge_compatibility(e, kind, tol)
     ref_sectors = sector_decomposition(e.reference, kind)
+    _check_compatibility(e, ref_sectors, tol)
     reference_charge = is_charge_eigenstate(psi_R, ref_sectors, tol)
 
     rho = relational_state(psi_R, e, "A", tol)

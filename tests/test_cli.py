@@ -393,6 +393,21 @@ class TestCliContract:
         doc = json.loads(out.read_bytes())
         assert doc["tolerances"]["ssr"] == 1e-6
 
+    @pytest.mark.parametrize("flag", ["--tol-norm", "--tol-herm", "--tol-ssr"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_flags_must_be_finite_and_positive(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([str(scenario_path("bell")), flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number greater than 0, got {value!r}" in err
+
+    def test_rejected_tolerance_exits_2_without_traceback(self):
+        proc = run_cli(str(scenario_path("bell")), "--tol-ssr", "nan")
+        assert proc.returncode == 2
+        assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+        assert b"--tol-ssr" in proc.stderr
+
     def test_text_format_mentions_tasks(self):
         proc = run_cli(str(scenario_path("product")))
         assert proc.returncode == 0

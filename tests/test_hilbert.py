@@ -11,6 +11,7 @@ import relfock.composition
 import relfock.hilbert
 from relfock import (
     EmbeddingValidationError,
+    FockSpace,
     ModeSpec,
     SpaceMismatchError,
     StateVector,
@@ -77,6 +78,35 @@ class TestBuildFockSpace:
         # and the enumeration is a bijection
         seen = {sp.occupation_of(i) for i in range(sp.dimension)}
         assert len(seen) == sp.dimension
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_occupations_match_product_enumeration(self, n_modes):
+        sp = build_fock_space([ModeSpec(f"b{i}", "boson", 2) for i in range(n_modes)])
+        expected = np.array(list(itertools.product(range(3), repeat=n_modes)), dtype=np.int64)
+        occ = sp.basis_occupations
+        assert occ.dtype == np.int64 and not occ.flags.writeable
+        assert np.array_equal(occ, expected)
+        assert [sp.index_of(row) for row in expected] == list(range(sp.dimension))
+
+    def test_charge_reach_beyond_int64_rejected(self):
+        big = 2 ** 62
+        modes = [ModeSpec("a", "boson", 1, {"lepton": big}),
+                 ModeSpec("b", "boson", 2, {"electric": -big, "lepton": 1})]
+        with pytest.raises(ValueError) as info:
+            build_fock_space(modes, "S")
+        assert str(info.value) == f"total electric charge in space 'S' can reach {2 * big}," \
+            " outside int64"
+        assert build_fock_space(modes[:1], "S").dimension == 2
+
+    def test_trivial_space_has_one_empty_occupation(self):
+        sp = FockSpace.trivial("T")
+        expected = np.array(list(itertools.product()), dtype=np.int64).reshape(1, 0)
+        assert sp.dimension == 1
+        assert sp.basis_occupations.shape == (1, 0)
+        assert np.array_equal(sp.basis_occupations, expected)
+        assert sp.occupation_of(0) == () and sp.index_of(()) == 0
+        for kind in ("electric", "baryon", "lepton"):
+            assert np.array_equal(charge_values(sp, kind), np.zeros(1, dtype=np.int64))
 
 
 class TestLadderOperators:

@@ -197,6 +197,21 @@ class TestPossibleInternalStates:
             possible_internal_states(rho)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("matrix", [[[np.nan, 0.0], [0.0, 0.5]],
+                                        [[0.5, np.nan], [np.nan, 0.5]],
+                                        [[0.5, 0.0], [0.0, complex(0.0, np.nan)]]])
+    def test_nan_entry_rejected_as_not_hermitian(self, matrix):
+        rho = DensityOperator.from_matrix("x", np.array(matrix))
+        with pytest.raises(ValueError) as info:
+            possible_internal_states(rho)
+        assert str(info.value) == "density operator not Hermitian: max dev nan"
+
+    def test_nan_trace_rejected(self):
+        rho = DensityOperator("x", np.eye(2) / 2, trace=float("nan"), trace_deficit=float("nan"))
+        with pytest.raises(ValueError) as info:
+            possible_internal_states(rho)
+        assert str(info.value) == "density operator trace nan exceeds one"
+
     def test_one_eigensolve_per_spectrum(self, monkeypatch):
         psi, e = random_pair(321)
         rho = relational_state(psi, e, "A")
