@@ -132,8 +132,10 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
     Overlapping factors produce a map that is not an isometry; with
     ``validate`` (the default) that raises EmbeddingValidationError carrying
     the report; max|V^dagger V - 1| is 1.0 if a column of this 0/1 map has no
-    image or shares its row, else 0.0. Explicit-isometry embeddings cannot be
-    chained automatically; build the joint isometry directly instead.
+    image or shares its row, else 0.0. A map that passes but has a mode one
+    part claims and another freezes then raises ValueError naming the mode.
+    Explicit-isometry embeddings cannot be chained automatically; build the
+    joint isometry directly instead.
     """
     tol = resolve(tol)
     if not parts:
@@ -177,6 +179,10 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
                 f" factors): max|V^dagger V - 1| = {dev:g}",
                 report=EmbeddingValidation(False, dev, tol.herm),
             )
+        for label in claimed:
+            if label in frozen:
+                raise ValueError(
+                    f"mode {str(label)!r} is claimed by one part and frozen by another")
     partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
     return Embedding(subsystem, complementer, reference, partition=partition, rows=rows)
 

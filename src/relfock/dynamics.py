@@ -7,6 +7,9 @@ hermitizes each term from those maps, and keeps H as its nonzero entries
 Evolution is the exact matrix exponential through an eigendecomposition per
 conserved block (a connected component of H's nonzero pattern), computed once
 per Hamiltonian, so norm and energy are conserved to solver precision.
+``SectorEigensystem.propagate`` is the one propagator: it takes u^dagger psi0
+once per block size and gives the state at every time as a row of one array;
+``evolve_trajectory`` monitors those rows, and ``evolve`` is a one-point trajectory.
 Coefficients are finite reals and every factor weight is real, so an
 assembled H is real symmetric and its blocks are diagonalized in real
 arithmetic.
@@ -149,18 +152,25 @@ class SectorEigensystem:
 
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
-    def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) amplitudes, as u (e^{-iwt} (u^dagger a)) per block."""
-        out = np.empty_like(amplitudes)
+    def propagate(self, amplitudes: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        """exp(-i H t) amplitudes at each time, as the rows of one read-only
+        (T, D) array: u (e^{-iwt} (u^dagger a)) per block, with the block
+        coefficients u^dagger a computed once per block size."""
+        times = np.asarray(times, dtype=np.float64).tolist()
+        out = np.empty((len(times), len(amplitudes)), dtype=np.complex128)
         for idx, w, u in self.blocks:
-            phase = np.exp(-1j * w * t)
+            a = amplitudes[idx]
             if w.shape[1] == 1:  # u is [[1]]: a phase only
-                out[idx] = phase * amplitudes[idx]
+                for row, t in zip(out, times):
+                    row[idx] = np.exp(-1j * w * t) * a
                 continue
             # u^dagger a as conj(a^dagger u): no conjugated copy of u
-            coeffs = np.matmul(amplitudes[idx].conj()[:, None, :], u).conj()
-            coeffs *= phase[:, None, :]
-            out[idx] = np.matmul(coeffs, u.swapaxes(1, 2))[:, 0, :]
+            coeffs = np.matmul(a.conj()[:, None, :], u).conj()
+            u_t = u.swapaxes(1, 2)
+            for row, t in zip(out, times):
+                phase = np.exp(-1j * w * t)
+                row[idx] = np.matmul(coeffs * phase[:, None, :], u_t)[:, 0, :]
+        out.flags.writeable = False
         return out
 
 
@@ -283,17 +293,9 @@ def hopping_hamiltonian(space: FockSpace, coupling: float,
 
 def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
            tol: Tolerances | None = None) -> StateVector:
-    """psi(t) = exp(-i H t) psi0, exact through the eigendecomposition of
-    each conserved block of H; raises if the result has drifted off unit norm."""
-    tol = resolve(tol)
-    psi0.require_space(h.space_id, h.space.dimension)
-    if not psi0.is_normalized(tol):
-        raise ValueError(f"initial state must be unit norm; |psi|^2 = {psi0.norm_sq!r}")
-    amps = h.eigensystem.propagate(psi0.amplitudes, float(t))
-    drift = abs(float(np.vdot(amps, amps).real) - 1.0)
-    if not drift < tol.evolve:  # NaN fails too
-        raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")
-    return StateVector(psi0.space_id, amps)
+    """psi(t) = exp(-i H t) psi0: the state of the one-point trajectory at t,
+    with its checks."""
+    return evolve_trajectory(psi0, h, [t], tol=tol).states[0]
 
 
 @dataclass
@@ -331,23 +333,16 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
 
     times_arr = np.asarray(list(times), dtype=np.float64)
-    states: list[StateVector] = []
-    norms = np.empty(len(times_arr))
-    energies = np.empty(len(times_arr))
-    charges = {kind: np.empty(len(times_arr)) for kind in charge_diags}
-    traces = {key: np.empty(len(times_arr)) for key in embeddings}
-    for i, t in enumerate(times_arr):
-        state = StateVector(psi0.space_id, h.eigensystem.propagate(psi0.amplitudes, float(t)))
-        states.append(state)
-        amps = state.amplitudes
-        norms[i] = float(np.vdot(amps, amps).real)
-        energies[i] = h.energy(amps)
-        for kind, q in charge_diags.items():
-            charges[kind][i] = float(np.vdot(amps, q * amps).real)
-        for key, emb in embeddings.items():
-            phi = pull_back(state, emb)
-            traces[key][i] = float(np.vdot(phi, phi).real)
-    drift = float(np.abs(norms - 1.0).max()) if len(times_arr) else 0.0
+    amps = h.eigensystem.propagate(psi0.amplitudes, times_arr)
+    states = [StateVector(psi0.space_id, row) for row in amps]
+    norms = np.array([np.vdot(a, a).real for a in amps])
+    energies = np.array([h.energy(a) for a in amps])
+    charges = {kind: np.array([np.vdot(a, q * a).real for a in amps])
+               for kind, q in charge_diags.items()}
+    traces = {key: np.array([np.vdot(phi, phi).real
+                             for phi in (pull_back(s, emb) for s in states)])
+              for key, emb in embeddings.items()}
+    drift = float(np.abs(norms - 1.0).max(initial=0.0))
     if not drift < tol.evolve:  # NaN fails too
         raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")
     return Trajectory(times=times_arr, states=states, norms=norms, energies=energies,

@@ -235,6 +235,8 @@ def _is_short(value: Any) -> bool:
 
 
 def _fmt_scalar(value: Any) -> str:
+    if isinstance(value, np.generic):  # a numpy scalar as its Python value
+        value = value.item()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):

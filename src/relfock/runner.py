@@ -7,12 +7,13 @@ the scenario):
   spectrum          state, embedding, factor
   schmidt           state, embedding
   joint             state, embeddings (list of mode-partition embeddings)
-  evolve            state, hamiltonian, t
+  evolve            state, hamiltonian, t (a number)
   trace-trajectory  state, hamiltonian, embedding,
-                    times (list, or {"start","stop","num"}), charge_kinds?
+                    times (list of numbers, or {"start","stop","num"} with
+                    an integer num), charge_kinds? (list of kind names)
   check-ssr         state, embedding, kind
-  sample            state, embedding, factor, count (default 100), seed
-                    (falls back to the run-level seed)
+  sample            state, embedding, factor, count (integer, default 100),
+                    seed (integer; falls back to the run-level seed)
 
 Tasks run in order; a failing task is recorded in the report and execution
 continues. Library invariant violations become structured task errors, never
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .composition import _party_pullbacks, compose_embeddings, joint_distribution, \
     schmidt_decompose
-from .dynamics import evolve, trace_deficit_trajectory
+from .dynamics import evolve_trajectory, trace_deficit_trajectory
 from .relational import _reduce, possible_internal_states, relational_state, \
     sample_internal_states
 from .report import Report, TaskResult
@@ -36,13 +37,42 @@ from .superselection import check_superselection
 from .tolerances import Tolerances, resolve
 
 
+def _number(value: Any, name: str) -> float:
+    """A task parameter that must be a JSON number, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be within the float range, got {value!r}") from None
+
+
+def _integer(value: Any, name: str) -> int:
+    """A task parameter that must be a JSON integer (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _times_from(params: Mapping[str, Any]) -> np.ndarray:
     times = params.get("times")
     if isinstance(times, Mapping):
-        return np.linspace(float(times["start"]), float(times["stop"]), int(times["num"]))
+        for key in ("start", "stop", "num"):
+            if key not in times:
+                raise ValueError(f"times needs start, stop and num; times.{key} is missing")
+        return np.linspace(_number(times["start"], "times.start"),
+                           _number(times["stop"], "times.stop"),
+                           _integer(times["num"], "times.num"))
     if isinstance(times, list):
-        return np.asarray([float(t) for t in times])
+        return np.asarray([_number(t, f"times[{i}]") for i, t in enumerate(times)])
     raise ValueError("times must be a list of numbers or {start, stop, num}")
+
+
+def _charge_kinds(params: Mapping[str, Any]) -> tuple[str, ...]:
+    kinds = params.get("charge_kinds", [])
+    if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
+        raise TypeError(f"charge_kinds must be a list of charge kind names, got {kinds!r}")
+    return tuple(kinds)
 
 
 def _stack(vectors) -> np.ndarray:
@@ -118,15 +148,16 @@ def _run_joint(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
 
 
 def _run_evolve(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    h = scenario.hamiltonians[params["hamiltonian"]]
-    t = float(params["t"])
-    psi_t = evolve(scenario.states[params["state"]], h, t, tol)
+    t = _number(params["t"], "t")
+    traj = evolve_trajectory(scenario.states[params["state"]],
+                             scenario.hamiltonians[params["hamiltonian"]], [t], tol=tol)
+    psi_t = traj.states[0]
     return {
         "t": t,
         "space": psi_t.space_id,
         "amplitudes": psi_t.amplitudes,
-        "norm_sq": psi_t.norm_sq,
-        "energy": h.energy(psi_t.amplitudes),
+        "norm_sq": float(traj.norms[0]),
+        "energy": float(traj.energies[0]),
     }
 
 
@@ -136,7 +167,7 @@ def _run_trace_trajectory(scenario: Scenario, params, tol: Tolerances, seed) -> 
         scenario.hamiltonians[params["hamiltonian"]],
         scenario.embeddings[params["embedding"]],
         _times_from(params),
-        charge_kinds=tuple(params.get("charge_kinds", ())),
+        charge_kinds=_charge_kinds(params),
         tol=tol,
     )
     traces = traj.relational_traces["subsystem"]
@@ -168,16 +199,17 @@ def _run_sample(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     task_seed = params.get("seed", seed)
     if task_seed is None:
         raise ValueError("sample needs a seed (task parameter or --seed)")
-    count = int(params.get("count", 100))
+    task_seed = _integer(task_seed, "seed")
+    count = _integer(params.get("count", 100), "count")
     rho = _task_relational_state(scenario, params, tol)
     dec = possible_internal_states(rho, tol)
-    outcomes = sample_internal_states(dec, count, int(task_seed))
+    outcomes = sample_internal_states(dec, count, task_seed)
     annihilated_index = dec.outcome_count
     tally = np.bincount(outcomes, minlength=annihilated_index + 1).tolist()
     counts = {str(j): tally[j] for j in range(annihilated_index)}
     counts["annihilated"] = tally[annihilated_index]
     return {
-        "seed": int(task_seed),
+        "seed": task_seed,
         "count": count,
         "generator": "PCG64",
         "eigenvalues": dec.eigenvalues,

@@ -427,6 +427,89 @@ class TestCliContract:
         assert all(b > a for a, b in zip(onset, onset[1:]))
 
 
+def _task_edit(name: str, task: str, **params):
+    """A bundled scenario with one task's parameters updated (a None value
+    deletes the parameter, a dict value updates the nested object)."""
+    def edit(doc):
+        entry = next(t for t in doc["tasks"] if t["name"] == task)
+        for key, value in params.items():
+            if value is None:
+                del entry[key]
+            elif isinstance(value, dict):
+                merged = {**entry[key], **value}
+                entry[key] = {k: v for k, v in merged.items() if v is not None}
+            else:
+                entry[key] = value
+    return name, task, edited(name, edit)
+
+
+# (scenario, task, edited bytes, the start of the task's error message).
+MISTYPED_PARAMETERS = {
+    "count-float": (*_task_edit("bell", "sample_electron", count=2.7),
+                    "count must be an integer, got 2.7"),
+    "count-bool": (*_task_edit("bell", "sample_electron", count=True),
+                   "count must be an integer, got True"),
+    "seed-float": (*_task_edit("bell", "sample_electron", seed=1.5),
+                   "seed must be an integer, got 1.5"),
+    "seed-string": (*_task_edit("bell", "sample_electron", seed="7"),
+                    "seed must be an integer, got '7'"),
+    "t-bool": (*_task_edit("annihilation", "halfway", t=True),
+               "t must be a number, got True"),
+    "t-string": (*_task_edit("annihilation", "halfway", t="0.5"),
+                 "t must be a number, got '0.5'"),
+    "t-beyond-float": (*_task_edit("annihilation", "halfway", t=10**400),
+                       "t must be within the float range"),
+    "times-entries": (*_task_edit("annihilation", "deficit_curve", times=[0, True, "1"]),
+                      "times[1] must be a number, got True"),
+    "times-num-float": (*_task_edit("annihilation", "deficit_curve", times={"num": 2.9}),
+                        "times.num must be an integer, got 2.9"),
+    "times-start-string": (*_task_edit("annihilation", "deficit_curve",
+                                       times={"start": "0"}),
+                           "times.start must be a number, got '0'"),
+    "times-without-num": (*_task_edit("annihilation", "deficit_curve", times={"num": None}),
+                          "times needs start, stop and num; times.num is missing"),
+    "charge-kinds-string": (*_task_edit("annihilation", "deficit_curve",
+                                        charge_kinds="electric"),
+                            "charge_kinds must be a list of charge kind names, got 'electric'"),
+    "charge-kinds-int": (*_task_edit("annihilation", "deficit_curve", charge_kinds=[1]),
+                         "charge_kinds must be a list of charge kind names, got [1]"),
+}
+
+
+class TestTaskParameters:
+    @pytest.mark.parametrize("case", list(MISTYPED_PARAMETERS), ids=str)
+    def test_mistyped_parameter_fails_its_task(self, tmp_path, case):
+        name, task, data, message = MISTYPED_PARAMETERS[case]
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        report = run_scenario(load_scenario(path))
+        statuses = {t.name: t.status for t in report.tasks}
+        assert [n for n, status in statuses.items() if status != "ok"] == [task]
+        error = next(t.error for t in report.tasks if t.name == task)
+        assert error["message"].startswith(message), error
+
+    def test_mistyped_parameter_exits_1_without_traceback(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(MISTYPED_PARAMETERS["count-float"][2])
+        proc = run_cli(str(path), "--format", "machine")
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["sample_electron"]
+        assert task["error"] == {"type": "TypeError",
+                                 "message": "count must be an integer, got 2.7"}
+
+    def test_integer_times_and_t_are_numbers(self, tmp_path):
+        _, _, data = _task_edit("annihilation", "deficit_curve", times={"start": 0, "stop": 3})
+        doc = json.loads(data)
+        next(t for t in doc["tasks"] if t["name"] == "halfway")["t"] = 1
+        report = run_scenario(load_scenario(write_scenario(tmp_path, doc)))
+        assert not report.failed
+        by_name = {t.name: t.result for t in report.tasks}
+        assert by_name["halfway"]["t"] == 1.0
+        reference = run_scenario(load_scenario(scenario_path("annihilation")))
+        expected = {t.name: t.result for t in reference.tasks}["deficit_curve"]
+        assert np.array_equal(by_name["deficit_curve"]["times"], expected["times"])
+
+
 class TestToleranceOverrides:
     def test_strict_norm_tolerance_rejects_state(self, tmp_path):
         doc = dict(MINIMAL)

@@ -170,6 +170,24 @@ class TestComposeEmbeddings:
         with pytest.raises(ValueError, match="frozen"):
             compose_embeddings(parts)
 
+    def test_mode_frozen_by_one_part_and_claimed_by_another_rejected(self):
+        sp = three_qubit_space()
+        parts = [mode_partition_embedding(sp, ["q0"], frozen={"q2": 0}),
+                 mode_partition_embedding(sp, ["q2"])]
+        # The 0/1 map passes the Gram check although part 1 pins q2 at 0 and
+        # part 2 reads it; validate=False still returns that map.
+        broken = compose_embeddings(parts, validate=False)
+        assert validate_embedding(broken).passed
+        assert "q2" in broken.partition.subsystem_labels and ("q2", 0) in broken.partition.frozen
+        with pytest.raises(ValueError,
+                           match="mode 'q2' is claimed by one part and frozen by another"):
+            compose_embeddings(parts)
+        # Frozen at 1, the map fails the Gram check first, with its report.
+        parts[0] = mode_partition_embedding(sp, ["q0"], frozen={"q2": 1})
+        with pytest.raises(EmbeddingValidationError) as err:
+            compose_embeddings(parts)
+        assert err.value.report == validate_embedding(compose_embeddings(parts, validate=False))
+
     def test_explicit_isometry_parts_rejected(self):
         a, b, r = qudit_space(2, "a"), qudit_space(2, "b"), qudit_space(5, "r")
         e = random_isometry_embedding(a, b, r, seed=3)

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from relfock import (
     HamiltonianSpec,
     ModeSpec,
+    StateVector,
     basis_state,
     build_fock_space,
     build_hamiltonian,
@@ -28,7 +29,9 @@ from relfock import (
     run_scenario,
     trace_deficit_trajectory,
 )
-from relfock.dynamics import _hermiticity_deviation
+from relfock.dynamics import SectorEigensystem, _hermiticity_deviation
+
+from relfock.hilbert import pull_back
 
 from conftest import mode_matrix, qudit_space
 
@@ -426,6 +429,149 @@ class TestSectorEigensystem:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0
+
+
+# Reference: the per-time propagator and monitor loop that the one-call
+# trajectory replaced, with u^dagger a recomputed at every time.
+def _step_propagate(eigensystem, amplitudes, t):
+    out = np.empty_like(amplitudes)
+    for idx, w, u in eigensystem.blocks:
+        phase = np.exp(-1j * w * t)
+        if w.shape[1] == 1:
+            out[idx] = phase * amplitudes[idx]
+            continue
+        coeffs = np.matmul(amplitudes[idx].conj()[:, None, :], u).conj()
+        coeffs *= phase[:, None, :]
+        out[idx] = np.matmul(coeffs, u.swapaxes(1, 2))[:, 0, :]
+    return out
+
+
+def _step_trajectory(psi0, h, times, embeddings, charge_kinds):
+    times = np.asarray(times, dtype=np.float64)
+    charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
+    states, norms, energies = [], np.empty(len(times)), np.empty(len(times))
+    charges = {kind: np.empty(len(times)) for kind in charge_diags}
+    traces = {key: np.empty(len(times)) for key in embeddings}
+    for i, t in enumerate(times):
+        amps = _step_propagate(h.eigensystem, psi0.amplitudes, float(t))
+        states.append(amps)
+        norms[i] = float(np.vdot(amps, amps).real)
+        energies[i] = h.energy(amps)
+        for kind, q in charge_diags.items():
+            charges[kind][i] = float(np.vdot(amps, q * amps).real)
+        for key, emb in embeddings.items():
+            phi = pull_back(StateVector(psi0.space_id, amps), emb)
+            traces[key][i] = float(np.vdot(phi, phi).real)
+    return states, norms, energies, charges, traces
+
+
+def _propagation_case(case):
+    """(H, psi0, embeddings, charge kinds): random terms for integer cases,
+    else the one spanning block, complex triplets or the conversion model."""
+    if case == "spanning":
+        space = build_fock_space([ModeSpec(f"q{i}", "boson", 1) for i in range(4)])
+        h = build_hamiltonian(space, [(0.3 + i, (("create", f"q{i}"),)) for i in range(4)])
+        psi0 = random_state_vector(space, 5)
+    elif case == "complex":
+        rng = np.random.default_rng(3)
+        space = build_fock_space([ModeSpec(f"m{i}", "boson", 1) for i in range(5)])
+        labels = rng.integers(0, 6, space.dimension)
+        mat = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        mat = (mat + mat.conj().T) * (labels[:, None] == labels)
+        rows, cols = np.nonzero(mat)
+        h = HamiltonianSpec(space, (), rows, cols, mat[rows, cols])
+        psi0 = random_state_vector(space, 3)
+    elif case == "conversion":
+        space, h, psi0, embedding = pair_annihilation_model(g=0.7)
+        return h, psi0, {"subsystem": embedding}, ("electric", "lepton")
+    else:
+        space, terms = _random_terms(case)
+        h = build_hamiltonian(space, terms)
+        psi0 = random_state_vector(space, case)
+    embedding = mode_partition_embedding(space, [space.mode_labels[0]])
+    return h, psi0, {"first": embedding}, ("electric",)
+
+
+PROPAGATION_CASES = [*range(12), "spanning", "complex", "conversion"]
+TIME_GRIDS = {0: [], 1: [0.37], 7: [0.0, 0.37, -1.25, 1.9, 3.0, 0.37, 40.0]}
+
+
+class TestOnePropagator:
+    def test_cases_cover_block_shapes(self):
+        sizes, one_block, complex_vals = set(), False, False
+        for case in PROPAGATION_CASES:
+            h = _propagation_case(case)[0]
+            block_sizes = {w.shape[1] for _, w, _ in h.eigensystem.blocks}
+            sizes.add(frozenset(block_sizes))
+            one_block |= len(h.eigensystem.blocks) == 1 and h.eigensystem.blocks[0][0].size > 1
+            complex_vals |= bool(h.vals.imag.any())
+        assert any(1 in s and len(s) >= 3 for s in sizes)  # several sizes, size 1 included
+        assert one_block and complex_vals
+
+    @pytest.mark.parametrize("count", sorted(TIME_GRIDS))
+    @pytest.mark.parametrize("case", PROPAGATION_CASES)
+    def test_trajectory_equals_per_step_reference_bit_for_bit(self, case, count):
+        h, psi0, embeddings, kinds = _propagation_case(case)
+        times = TIME_GRIDS[count]
+        traj = evolve_trajectory(psi0, h, times, embeddings=embeddings, charge_kinds=kinds)
+        states, norms, energies, charges, traces = _step_trajectory(
+            psi0, h, times, embeddings, kinds)
+        assert len(traj.states) == count
+        for t, state, expected in zip(times, traj.states, states):
+            assert state.amplitudes.tobytes() == expected.tobytes()
+            assert evolve(psi0, h, t).amplitudes.tobytes() == expected.tobytes()
+        assert traj.norms.tobytes() == norms.tobytes()
+        assert traj.energies.tobytes() == energies.tobytes()
+        for kind in kinds:
+            assert traj.charge_expectations[kind].tobytes() == charges[kind].tobytes()
+        for key in embeddings:
+            assert traj.relational_traces[key].tobytes() == traces[key].tobytes()
+
+    def test_one_propagate_call_per_evolution(self, monkeypatch):
+        h, psi0, embeddings, kinds = _propagation_case("conversion")
+        calls, propagate = [], SectorEigensystem.propagate
+
+        def counting(self, amplitudes, times):
+            calls.append(len(times))
+            return propagate(self, amplitudes, times)
+        monkeypatch.setattr(SectorEigensystem, "propagate", counting)
+        evolve_trajectory(psi0, h, TIME_GRIDS[7], embeddings=embeddings, charge_kinds=kinds)
+        assert calls == [7]
+        evolve(psi0, h, 0.5)
+        assert calls == [7, 1]
+        run_scenario(load_scenario(str(resources.files("relfock") / "scenarios"
+                                       / "annihilation.json")))
+        assert calls == [7, 1, 13, 1]  # deficit_curve, then halfway
+
+    def test_states_share_one_read_only_buffer(self):
+        h, psi0, embeddings, _ = _propagation_case("conversion")
+        traj = evolve_trajectory(psi0, h, TIME_GRIDS[7], embeddings=embeddings)
+        buffer = traj.states[0].amplitudes.base
+        assert buffer is not None and buffer.shape == (7, h.space.dimension)
+        assert not buffer.flags.writeable
+        for i, state in enumerate(traj.states):
+            assert state.amplitudes.base is buffer
+            assert np.shares_memory(state.amplitudes, buffer[i])
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0
+
+    def test_evolve_checks_keep_their_messages(self):
+        h, psi0, _, _ = _propagation_case("conversion")
+        half = StateVector(psi0.space_id, psi0.amplitudes * 0.5)
+        with pytest.raises(ValueError, match=r"^initial state must be unit norm; "
+                                             r"\|psi\|\^2 = 0\.25$"):
+            evolve(half, h, 0.5)
+        overflowing = conversion_hamiltonian(h.space, 1e308, ["photon"], ["e-", "e+"])
+        # The phases w t overflow (a numpy warning, silenced here as in the CLI).
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"^evolution lost unitarity: max norm drift nan$"):
+            evolve(psi0, overflowing, 10.0)
+
+    def test_evolve_task_reports_python_floats(self):
+        report = run_scenario(load_scenario(str(resources.files("relfock") / "scenarios"
+                                                / "annihilation.json")))
+        result = {t.name: t.result for t in report.tasks}["halfway"]
+        assert type(result["norm_sq"]) is float and type(result["energy"]) is float
 
 
 def _random_triplets(seed, n=12):

@@ -397,19 +397,31 @@ class TestSelectionMapOracle:
         gram = validate_embedding(composed)
         loose = Tolerances(herm=2.0)
         assert validate_embedding(composed, loose).passed
+        # A mode one part claims and another freezes is refused after the Gram check.
+        claimed = {l for p in parts for l in p.partition.subsystem_labels}
+        clash = any(l in claimed for p in parts for l, _ in p.partition.frozen)
+        refused = pytest.raises(ValueError, match="claimed by one part and frozen by another")
 
         def refuse(*args, **kwargs):
             raise AssertionError("compose_embeddings built a Gram matrix")
         monkeypatch.setattr(relfock.hilbert, "validate_embedding", refuse)
         monkeypatch.setattr(relfock.composition, "validate_embedding", refuse, raising=False)
-        if gram.passed:
-            compose_embeddings(parts)
-        else:
+        if not gram.passed:
             with pytest.raises(EmbeddingValidationError) as err:
                 compose_embeddings(parts)
             assert err.value.report == gram
+        elif clash:
+            with refused:
+                compose_embeddings(parts)
+        else:
+            compose_embeddings(parts)
         # The Gram check passes any 0/1 map at a tolerance above 1, overlaps included.
-        assert np.array_equal(compose_embeddings(parts, tol=loose).isometry, composed.isometry)
+        if clash:
+            with refused:
+                compose_embeddings(parts, tol=loose)
+        else:
+            assert np.array_equal(compose_embeddings(parts, tol=loose).isometry,
+                                  composed.isometry)
 
     def test_shared_rows_without_missing_image(self):
         # Parts built on a space with the reference's id and dimension but

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from relfock import load_scenario, run_scenario
-from relfock.report import canonical_json
+from relfock import Tolerances, load_scenario, run_scenario
+from relfock.report import Report, TaskResult, canonical_json
 from relfock.runner import COMMANDS
 
 
@@ -206,3 +206,21 @@ def test_reports_are_written_without_the_json_encoder(tmp_path, monkeypatch):
         json.dumps({"a": 1}, indent=2)
     assert report.to_machine_bytes() == expected
     assert run_scenario(load_scenario(path)).to_machine_bytes() == expected
+
+
+def _text_report(result: dict) -> str:
+    task = TaskResult(name="t", command="evolve", status="ok", result=result)
+    return Report("0", "sha256:0", Tolerances(), [task]).to_text()
+
+
+def test_text_prints_numpy_scalars_as_python_values():
+    numpy_values = {"f": np.float64(0.5), "f32": np.float32(0.1), "i": np.int64(-3),
+                    "u": np.uint8(255), "b": np.bool_(True), "c": np.complex128(1 - 2j),
+                    "pair": [np.float64(0.25), np.float64(-0.0)],
+                    "nested": {"x": np.float64(1e-17)}}
+    python_values = {"f": 0.5, "f32": 0.10000000149011612, "i": -3, "u": 255, "b": True,
+                     "c": 1 - 2j, "pair": [0.25, -0.0], "nested": {"x": 1e-17}}
+    text = _text_report(numpy_values)
+    assert text == _text_report(python_values)
+    assert "np." not in text
+    assert "  f: 0.5" in text.splitlines() and "  pair: [0.25, -0.0]" in text.splitlines()
