@@ -22,6 +22,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """The --seed flag's value: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relfock",
@@ -31,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", "-o", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report format (default: text)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=seed, default=None,
                         help="default seed for sample tasks without one")
     for kind, what in (("norm", "unit-norm/trace"), ("herm", "Hermiticity/isometry"),
                        ("ssr", "superselection off-block")):

@@ -333,7 +333,9 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
 
     times_arr = np.asarray(list(times), dtype=np.float64)
-    amps = h.eigensystem.propagate(psi0.amplitudes, times_arr)
+    # Phases w t that overflow make states NaN; the drift check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = h.eigensystem.propagate(psi0.amplitudes, times_arr)
     states = [StateVector(psi0.space_id, row) for row in amps]
     norms = np.array([np.vdot(a, a).real for a in amps])
     energies = np.array([h.energy(a) for a in amps])

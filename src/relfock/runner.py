@@ -1,10 +1,11 @@
 """Task execution for scenario files.
 
 Commands and their parameters (all object references are names declared in
-the scenario):
+the scenario). Parameters marked ? are optional; a task without one of its
+required parameters fails with "missing task parameter 'state'":
 
-  reduce            state, embedding, factor ("A"|"B", default "A")
-  spectrum          state, embedding, factor
+  reduce            state, embedding, factor? ("A"|"B", default "A")
+  spectrum          state, embedding, factor?
   schmidt           state, embedding
   joint             state, embeddings (list of mode-partition embeddings)
   evolve            state, hamiltonian, t (a number)
@@ -12,8 +13,9 @@ the scenario):
                     times (list of numbers, or {"start","stop","num"} with
                     an integer num), charge_kinds? (list of kind names)
   check-ssr         state, embedding, kind
-  sample            state, embedding, factor, count (integer, default 100),
-                    seed (integer; falls back to the run-level seed)
+  sample            state, embedding, factor?, count? (integer, default 100),
+                    seed? (nonnegative integer; falls back to the run-level
+                    seed, and one of the two is required)
 
 Tasks run in order; a failing task is recorded in the report and execution
 continues. Library invariant violations become structured task errors, never
@@ -37,6 +39,13 @@ from .superselection import check_superselection
 from .tolerances import Tolerances, resolve
 
 
+def _required(params: Mapping[str, Any], key: str) -> Any:
+    """A task parameter without a default; the task fails if it is missing."""
+    if key not in params:
+        raise ValueError(f"missing task parameter {key!r}")
+    return params[key]
+
+
 def _number(value: Any, name: str) -> float:
     """A task parameter that must be a JSON number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -55,7 +64,7 @@ def _integer(value: Any, name: str) -> int:
 
 
 def _times_from(params: Mapping[str, Any]) -> np.ndarray:
-    times = params.get("times")
+    times = _required(params, "times")
     if isinstance(times, Mapping):
         for key in ("start", "stop", "num"):
             if key not in times:
@@ -93,8 +102,8 @@ def _spectrum_payload(dec) -> dict:
 
 def _task_relational_state(scenario: Scenario, params, tol: Tolerances):
     """The relational state named by a task's state, embedding and factor."""
-    return relational_state(scenario.states[params["state"]],
-                            scenario.embeddings[params["embedding"]],
+    return relational_state(scenario.states[_required(params, "state")],
+                            scenario.embeddings[_required(params, "embedding")],
                             params.get("factor", "A"), tol)
 
 
@@ -114,8 +123,8 @@ def _run_spectrum(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
 
 
 def _run_schmidt(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    dec = schmidt_decompose(scenario.states[params["state"]],
-                            scenario.embeddings[params["embedding"]], tol)
+    dec = schmidt_decompose(scenario.states[_required(params, "state")],
+                            scenario.embeddings[_required(params, "embedding")], tol)
     return {
         "coefficients": dec.coefficients,
         "residual_norm_sq": dec.residual_norm_sq,
@@ -127,11 +136,11 @@ def _run_schmidt(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
 
 
 def _run_joint(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    names = params["embeddings"]
+    names = _required(params, "embeddings")
     if not isinstance(names, list) or not names:
         raise ValueError("joint needs a nonempty list of embedding names")
     parts = [scenario.embeddings[n] for n in names]
-    psi = scenario.states[params["state"]]
+    psi = scenario.states[_required(params, "state")]
     composed = compose_embeddings(parts, tol=tol)
     party_phis = _party_pullbacks(psi, composed, [p.subsystem for p in parts])
     spectra = [possible_internal_states(_reduce(psi, phi, p.subsystem_id, tol), tol)
@@ -148,9 +157,10 @@ def _run_joint(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
 
 
 def _run_evolve(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    t = _number(params["t"], "t")
-    traj = evolve_trajectory(scenario.states[params["state"]],
-                             scenario.hamiltonians[params["hamiltonian"]], [t], tol=tol)
+    t = _number(_required(params, "t"), "t")
+    traj = evolve_trajectory(scenario.states[_required(params, "state")],
+                             scenario.hamiltonians[_required(params, "hamiltonian")],
+                             [t], tol=tol)
     psi_t = traj.states[0]
     return {
         "t": t,
@@ -163,9 +173,9 @@ def _run_evolve(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
 
 def _run_trace_trajectory(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     traj = trace_deficit_trajectory(
-        scenario.states[params["state"]],
-        scenario.hamiltonians[params["hamiltonian"]],
-        scenario.embeddings[params["embedding"]],
+        scenario.states[_required(params, "state")],
+        scenario.hamiltonians[_required(params, "hamiltonian")],
+        scenario.embeddings[_required(params, "embedding")],
         _times_from(params),
         charge_kinds=_charge_kinds(params),
         tol=tol,
@@ -182,9 +192,9 @@ def _run_trace_trajectory(scenario: Scenario, params, tol: Tolerances, seed) -> 
 
 
 def _run_check_ssr(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    report = check_superselection(scenario.states[params["state"]],
-                                  scenario.embeddings[params["embedding"]],
-                                  params["kind"], tol)
+    report = check_superselection(scenario.states[_required(params, "state")],
+                                  scenario.embeddings[_required(params, "embedding")],
+                                  _required(params, "kind"), tol)
     return {
         "charge_kind": report.charge_kind,
         "reference_charge": report.reference_charge,
@@ -200,6 +210,8 @@ def _run_sample(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
     if task_seed is None:
         raise ValueError("sample needs a seed (task parameter or --seed)")
     task_seed = _integer(task_seed, "seed")
+    if task_seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {task_seed}")
     count = _integer(params.get("count", 100), "count")
     rho = _task_relational_state(scenario, params, tol)
     dec = possible_internal_states(rho, tol)

@@ -31,7 +31,9 @@ A scenario is a JSON document with schema tag "relfock.scenario/1":
       "tasks": [ {"command": "reduce", "name": "rho", ...params...}, ... ]
     }
 
-Complex numbers are [re, im] pairs (bare reals are accepted on input). All
+Complex numbers are [re, im] pairs (bare reals are accepted on input). The
+sections are built in the order above, and an entry may refer only to names
+in the sections before its own; tasks may refer to any of them. All
 name references are resolved at load time; dangling references, non-isometric
 explicit embeddings, non-Hermitian Hamiltonians, term coefficients that are
 not finite real numbers (NaN, Infinity, true), non-normalized states,
@@ -53,7 +55,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import HamiltonianSpec, HamiltonianTerm, build_hamiltonian
-from .errors import EmbeddingValidationError, ScenarioError
+from .errors import ScenarioError
 from .hilbert import (
     Embedding,
     FockSpace,
@@ -195,7 +197,26 @@ def _named_entries(doc: Mapping[str, Any], section: str, name_key: str = "name")
     return entries
 
 
-def _build_space(entry: Mapping[str, Any], where: str) -> FockSpace:
+class _located:
+    """`with _located(where):` turns a library ValueError raised inside into a
+    ScenarioError prefixed with where; a ScenarioError passes unchanged."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None and issubclass(exc_type, ValueError) \
+                and not issubclass(exc_type, ScenarioError):
+            raise ScenarioError(f"{self.where}: {exc}") from exc
+
+
+def _build_space(entry: Mapping[str, Any], pools: Mapping[str, Mapping],
+                 tol: Tolerances, where: str) -> FockSpace:
     modes = []
     raw_modes = _require(entry, "modes", where)
     if not isinstance(raw_modes, list) or not raw_modes:
@@ -208,100 +229,81 @@ def _build_space(entry: Mapping[str, Any], where: str) -> FockSpace:
         if not isinstance(charges, Mapping):
             raise ScenarioError(f"{mwhere}.charges: expected an object mapping charge kinds"
                                 f" to integers, got {charges!r}")
-        try:
+        with _located(mwhere):
             modes.append(ModeSpec(
                 label=_require(m, "label", mwhere),
                 statistics=m.get("statistics", "boson"),
                 max_occupation=m.get("max_occupation", 1),
                 charges=tuple(sorted(charges.items())),
             ))
-        except ValueError as exc:
-            raise ScenarioError(f"{mwhere}: {exc}") from exc
     dimension = math.prod(m.local_dimension for m in modes)
     if dimension > MAX_DIMENSION:
         raise ScenarioError(f"{where}: dimension {dimension} exceeds the limit of"
                             f" {MAX_DIMENSION} basis states")
-    try:
-        return build_fock_space(modes, space_id=entry["id"])
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return build_fock_space(modes, space_id=entry["id"])
 
 
-def _build_state(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
+def _build_state(entry: Mapping[str, Any], pools: Mapping[str, Mapping],
                  tol: Tolerances, where: str) -> StateVector:
-    space = _lookup(spaces, _require(entry, "space", where), "space", where)
+    space = _lookup(pools["spaces"], _require(entry, "space", where), "space", where)
     kind = entry.get("kind", "amplitudes")
-    try:
-        if kind == "basis":
-            if "occupations" in entry:
-                occupations = _integers(entry["occupations"], f"{where}.occupations")
-                return basis_state(space, occupations)
-            index = _integer(_require(entry, "index", where), f"{where}.index")
-            return basis_state(space, index)
-        if kind == "bell":
-            pair = entry.get("pair")
-            if pair is not None:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ScenarioError(f"{where}.pair: expected two occupation lists")
-                pair = tuple(_integers(occ, f"{where}.pair[{i}]") for i, occ in enumerate(pair))
-            return bell_state(space, pair)
-        if kind == "ghz":
-            return bell_state(space)
-        if kind == "random":
-            seed = _integer(_require(entry, "seed", where), f"{where}.seed")
-            return random_state_vector(space, seed)
-        if kind == "amplitudes":
-            amps = _complex_vector(_require(entry, "amplitudes", where), f"{where}.amplitudes")
-            state = state_from_amplitudes(space, amps)
-            if not state.is_normalized(tol):
-                raise ScenarioError(
-                    f"{where}: state is not normalized (|psi|^2 = {state.norm_sq!r})"
-                )
-            return state
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    if kind == "basis":
+        if "occupations" in entry:
+            return basis_state(space, _integers(entry["occupations"], f"{where}.occupations"))
+        return basis_state(space, _integer(_require(entry, "index", where), f"{where}.index"))
+    if kind == "bell":
+        pair = entry.get("pair")
+        if pair is not None:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ScenarioError(f"{where}.pair: expected two occupation lists")
+            pair = tuple(_integers(occ, f"{where}.pair[{i}]") for i, occ in enumerate(pair))
+        return bell_state(space, pair)
+    if kind == "ghz":
+        return bell_state(space)
+    if kind == "random":
+        return random_state_vector(space, _integer(_require(entry, "seed", where),
+                                                   f"{where}.seed"))
+    if kind == "amplitudes":
+        amps = _complex_vector(_require(entry, "amplitudes", where), f"{where}.amplitudes")
+        state = state_from_amplitudes(space, amps)
+        if not state.is_normalized(tol):
+            raise ScenarioError(f"{where}: state is not normalized (|psi|^2 = {state.norm_sq!r})")
+        return state
     raise ScenarioError(f"{where}: unknown state kind {kind!r}")
 
 
-def _build_embedding(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
+def _build_embedding(entry: Mapping[str, Any], pools: Mapping[str, Mapping],
                      tol: Tolerances, where: str) -> Embedding:
+    spaces = pools["spaces"]
     reference = _lookup(spaces, _require(entry, "reference", where), "space", where)
     kind = entry.get("kind", "mode_partition")
-    try:
-        if kind == "mode_partition":
-            frozen = entry.get("frozen") or {}
-            if not isinstance(frozen, Mapping):
-                raise ScenarioError(f"{where}: frozen must map mode labels to occupations")
-            sub = _labels(_require(entry, "subsystem_modes", where), f"{where}.subsystem_modes")
-            comp = entry.get("complementer_modes")
-            if comp is not None:
-                comp = _labels(comp, f"{where}.complementer_modes")
-            return mode_partition_embedding(
-                reference,
-                subsystem_labels=sub,
-                complementer_labels=comp,
-                frozen={str(k): _integer(v, f"{where}.frozen[{k!r}]")
-                        for k, v in frozen.items()},
-                subsystem_id=entry.get("subsystem_id"),
-                complementer_id=entry.get("complementer_id"),
-            )
-        if kind == "isometry":
-            space_a = _lookup(spaces, _require(entry, "subsystem", where), "space", where)
-            space_b = _lookup(spaces, _require(entry, "complementer", where), "space", where)
-            matrix = _complex_matrix(_require(entry, "matrix", where), f"{where}.matrix")
-            return embedding_from_isometry(space_a, space_b, reference, matrix, tol=tol)
-    except ScenarioError:
-        raise
-    except (ValueError, EmbeddingValidationError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    if kind == "mode_partition":
+        frozen = entry.get("frozen") or {}
+        if not isinstance(frozen, Mapping):
+            raise ScenarioError(f"{where}: frozen must map mode labels to occupations")
+        sub = _labels(_require(entry, "subsystem_modes", where), f"{where}.subsystem_modes")
+        comp = entry.get("complementer_modes")
+        if comp is not None:
+            comp = _labels(comp, f"{where}.complementer_modes")
+        return mode_partition_embedding(
+            reference,
+            subsystem_labels=sub,
+            complementer_labels=comp,
+            frozen={str(k): _integer(v, f"{where}.frozen[{k!r}]") for k, v in frozen.items()},
+            subsystem_id=entry.get("subsystem_id"),
+            complementer_id=entry.get("complementer_id"),
+        )
+    if kind == "isometry":
+        space_a = _lookup(spaces, _require(entry, "subsystem", where), "space", where)
+        space_b = _lookup(spaces, _require(entry, "complementer", where), "space", where)
+        matrix = _complex_matrix(_require(entry, "matrix", where), f"{where}.matrix")
+        return embedding_from_isometry(space_a, space_b, reference, matrix, tol=tol)
     raise ScenarioError(f"{where}: unknown embedding kind {kind!r}")
 
 
-def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace],
+def _build_hamiltonian(entry: Mapping[str, Any], pools: Mapping[str, Mapping],
                        tol: Tolerances, where: str) -> HamiltonianSpec:
-    space = _lookup(spaces, _require(entry, "space", where), "space", where)
+    space = _lookup(pools["spaces"], _require(entry, "space", where), "space", where)
     terms = []
     raw_terms = entry.get("terms", [])
     if not isinstance(raw_terms, list):
@@ -315,14 +317,19 @@ def _build_hamiltonian(entry: Mapping[str, Any], spaces: Mapping[str, FockSpace]
         if not isinstance(factors, list) \
                 or not all(isinstance(f, list) and len(f) == 2 for f in factors):
             raise ScenarioError(f"{twhere}: factors must be a list of [kind, mode label] pairs")
-        try:
+        with _located(twhere):
             terms.append(HamiltonianTerm(coeff, tuple((str(k), str(l)) for k, l in factors)))
-        except ValueError as exc:
-            raise ScenarioError(f"{twhere}: {exc}") from exc
-    try:
-        return build_hamiltonian(space, terms, tol)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    return build_hamiltonian(space, terms, tol)
+
+
+# The sections in build order, each with its name key and build function; a
+# section may refer to the sections before it.
+_SECTIONS = (
+    ("spaces", "id", _build_space),
+    ("states", "name", _build_state),
+    ("embeddings", "name", _build_embedding),
+    ("hamiltonians", "name", _build_hamiltonian),
+)
 
 
 # A \uD800-\uDFFF escape: the only way a UTF-8 document can hold a string
@@ -374,24 +381,13 @@ def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
             f"{path}: unsupported schema {schema!r}; expected {SCENARIO_SCHEMA!r}"
         )
 
-    spaces: dict[str, FockSpace] = {}
-    for i, entry in enumerate(_named_entries(doc, "spaces", name_key="id")):
-        spaces[entry["id"]] = _build_space(entry, f"spaces[{i}] ({entry['id']!r})")
-
-    states: dict[str, StateVector] = {}
-    for i, entry in enumerate(_named_entries(doc, "states")):
-        states[entry["name"]] = _build_state(
-            entry, spaces, tol, f"states[{i}] ({entry['name']!r})")
-
-    embeddings: dict[str, Embedding] = {}
-    for i, entry in enumerate(_named_entries(doc, "embeddings")):
-        embeddings[entry["name"]] = _build_embedding(
-            entry, spaces, tol, f"embeddings[{i}] ({entry['name']!r})")
-
-    hamiltonians: dict[str, HamiltonianSpec] = {}
-    for i, entry in enumerate(_named_entries(doc, "hamiltonians")):
-        hamiltonians[entry["name"]] = _build_hamiltonian(
-            entry, spaces, tol, f"hamiltonians[{i}] ({entry['name']!r})")
+    pools: dict[str, dict[str, Any]] = {}
+    for section, key, build in _SECTIONS:
+        pool = pools[section] = {}
+        for i, entry in enumerate(_named_entries(doc, section, key)):
+            where = f"{section}[{i}] ({entry[key]!r})"
+            with _located(where):
+                pool[entry[key]] = build(entry, pools, tol, where)
 
     tasks: list[Task] = []
     raw_tasks = doc.get("tasks", [])
@@ -412,11 +408,10 @@ def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
         params = {k: v for k, v in entry.items() if k not in ("command", "name")}
         tasks.append(Task(name=name, command=command, params=params))
 
-    _check_task_references(tasks, states, embeddings, hamiltonians)
+    _check_task_references(tasks, pools)
 
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return Scenario(spaces=spaces, states=states, embeddings=embeddings,
-                    hamiltonians=hamiltonians, tasks=tuple(tasks), digest=digest)
+    return Scenario(**pools, tasks=tuple(tasks), digest=digest)
 
 
 _TASK_REFS = {
@@ -426,22 +421,14 @@ _TASK_REFS = {
 }
 
 
-def _check_task_references(tasks: Sequence[Task], states, embeddings, hamiltonians) -> None:
-    pools = {"states": states, "embeddings": embeddings, "hamiltonians": hamiltonians}
+def _check_task_references(tasks: Sequence[Task], pools: Mapping[str, Mapping]) -> None:
     for task in tasks:
-        for key, pool_name in _TASK_REFS.items():
-            if key not in task.params:
-                continue
-            value = task.params[key]
-            if not isinstance(value, str) or value not in pools[pool_name]:
-                raise ScenarioError(
-                    f"task {task.name!r}: unknown {key} reference {value!r}"
-                )
+        where = f"task {task.name!r}"
+        for key, section in _TASK_REFS.items():
+            if key in task.params:
+                _lookup(pools[section], task.params[key], f"{key} reference", where)
         names = task.params.get("embeddings", [])
         if not isinstance(names, list):
-            raise ScenarioError(f"task {task.name!r}: embeddings must be a list of names")
+            raise ScenarioError(f"{where}: embeddings must be a list of names")
         for value in names:
-            if not isinstance(value, str) or value not in embeddings:
-                raise ScenarioError(
-                    f"task {task.name!r}: unknown embedding reference {value!r}"
-                )
+            _lookup(pools["embeddings"], value, "embedding reference", where)

@@ -48,7 +48,64 @@ MINIMAL = {
 }
 
 
+def _non_isometric(doc):
+    doc["spaces"] += [{"id": "A", "modes": [{"label": "x", "max_occupation": 0}]},
+                      {"id": "B", "modes": [{"label": "y", "max_occupation": 1}]}]
+    doc["embeddings"] = [{
+        "name": "bad", "kind": "isometry", "reference": "S", "subsystem": "A",
+        "complementer": "B", "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    }]
+
+
+def _minimal(edit):
+    doc = json.loads(json.dumps(MINIMAL))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+# (edited scenario bytes, the exact load error): each location level once, from
+# a mode or a term inside an entry out to a task and a whole section.
+LOAD_MESSAGES = {
+    "mode-without-label": (
+        lambda: edited("bell", lambda doc: doc["spaces"][0]["modes"][0].pop("label")),
+        "spaces[0] ('EP').modes[0]: missing required field 'label'"),
+    "unknown-statistics": (
+        lambda: edited("bell", lambda doc: doc["spaces"][0]["modes"][1]
+                       .update(statistics="anyon")),
+        "spaces[0] ('EP').modes[1]: unknown statistics 'anyon'"),
+    "unknown-operator-kind": (
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                       ["factors"][0].__setitem__(0, "destroy")),
+        "hamiltonians[0] ('pair_conversion').terms[0]: unknown operator kind 'destroy'"),
+    "factor-on-unknown-mode": (
+        lambda: edited("annihilation", lambda doc: doc["hamiltonians"][0]["terms"][0]
+                       ["factors"][0].__setitem__(1, "tau")),
+        "hamiltonians[0] ('pair_conversion'): space 'U' has no mode 'tau'"),
+    "unknown-space": (
+        lambda: edited("bell", lambda doc: doc["states"][0].update(space="NOPE")),
+        "states[0] ('bell'): unknown space 'NOPE'"),
+    "non-isometric-matrix": (
+        lambda: _minimal(_non_isometric),
+        "embeddings[0] ('bad'): matrix is not an isometry: max|V^dagger V - 1| = 0.75"),
+    "unknown-task-state": (
+        lambda: edited("bell", lambda doc: doc["tasks"][0].update(state="psi")),
+        "task 'rho_electron': unknown state reference 'psi'"),
+    "embeddings-not-list": (
+        lambda: edited("bell", lambda doc: doc.update(embeddings={"electron": 1})),
+        "embeddings: expected a list"),
+}
+
+
 class TestLoadScenario:
+    @pytest.mark.parametrize("case", list(LOAD_MESSAGES), ids=str)
+    def test_load_error_names_its_location_once(self, tmp_path, case):
+        data, message = LOAD_MESSAGES[case]
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data())
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == message
+
     def test_minimal_scenario_loads_with_zero_tasks(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, MINIMAL))
         assert scenario.tasks == ()
@@ -86,18 +143,10 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, doc))
 
     def test_non_isometric_embedding_rejected(self, tmp_path):
-        doc = dict(MINIMAL)
-        doc["spaces"] = doc["spaces"] + [
-            {"id": "A", "modes": [{"label": "x", "max_occupation": 0}]},
-            {"id": "B", "modes": [{"label": "y", "max_occupation": 1}]},
-        ]
-        doc["embeddings"] = [{
-            "name": "bad", "kind": "isometry", "reference": "S",
-            "subsystem": "A", "complementer": "B",
-            "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-        }]
+        path = tmp_path / "scenario.json"
+        path.write_bytes(_minimal(_non_isometric))
         with pytest.raises(ScenarioError, match="isometry"):
-            load_scenario(write_scenario(tmp_path, doc))
+            load_scenario(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         doc = dict(MINIMAL)
@@ -334,6 +383,7 @@ class TestCliContract:
                                 .update(coefficient=1e308)))
         proc = run_cli(str(path), "--format", "machine")
         assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        assert b"RuntimeWarning" not in proc.stderr
         task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["deficit_curve"]
         assert task["status"] == "error"
         assert task["error"]["message"] == "evolution lost unitarity: max norm drift nan"
@@ -346,6 +396,7 @@ class TestCliContract:
         path.write_bytes(edited("annihilation", edit))
         proc = run_cli(str(path), "--format", "machine")
         assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        assert b"RuntimeWarning" not in proc.stderr
         task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["halfway"]
         assert task["status"] == "error"
         assert task["error"]["message"] == "evolution lost unitarity: max norm drift nan"
@@ -402,6 +453,20 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected a finite number greater than 0, got {value!r}" in err
 
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_seed_flag_must_be_nonnegative(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([str(scenario_path("bell")), "--seed", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: expected a nonnegative integer, got {value!r}" in err
+
+    def test_rejected_seed_exits_2_without_traceback(self):
+        proc = run_cli(str(scenario_path("bell")), "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+        assert b"--seed" in proc.stderr
+
     def test_rejected_tolerance_exits_2_without_traceback(self):
         proc = run_cli(str(scenario_path("bell")), "--tol-ssr", "nan")
         assert proc.returncode == 2
@@ -443,8 +508,9 @@ def _task_edit(name: str, task: str, **params):
     return name, task, edited(name, edit)
 
 
-# (scenario, task, edited bytes, the start of the task's error message).
-MISTYPED_PARAMETERS = {
+# (scenario, task, edited bytes, the start of the task's error message) for a
+# mistyped, out-of-range or missing task parameter.
+BAD_PARAMETERS = {
     "count-float": (*_task_edit("bell", "sample_electron", count=2.7),
                     "count must be an integer, got 2.7"),
     "count-bool": (*_task_edit("bell", "sample_electron", count=True),
@@ -453,6 +519,8 @@ MISTYPED_PARAMETERS = {
                    "seed must be an integer, got 1.5"),
     "seed-string": (*_task_edit("bell", "sample_electron", seed="7"),
                     "seed must be an integer, got '7'"),
+    "seed-negative": (*_task_edit("bell", "sample_electron", seed=-1),
+                      "seed must be a nonnegative integer, got -1"),
     "t-bool": (*_task_edit("annihilation", "halfway", t=True),
                "t must be a number, got True"),
     "t-string": (*_task_edit("annihilation", "halfway", t="0.5"),
@@ -473,13 +541,27 @@ MISTYPED_PARAMETERS = {
                             "charge_kinds must be a list of charge kind names, got 'electric'"),
     "charge-kinds-int": (*_task_edit("annihilation", "deficit_curve", charge_kinds=[1]),
                          "charge_kinds must be a list of charge kind names, got [1]"),
+    "state-missing": (*_task_edit("bell", "rho_electron", state=None),
+                      "missing task parameter 'state'"),
+    "embedding-missing": (*_task_edit("bell", "sample_electron", embedding=None),
+                          "missing task parameter 'embedding'"),
+    "embeddings-missing": (*_task_edit("bell", "joint_pair", embeddings=None),
+                           "missing task parameter 'embeddings'"),
+    "kind-missing": (*_task_edit("bell", "ssr_electric", kind=None),
+                     "missing task parameter 'kind'"),
+    "hamiltonian-missing": (*_task_edit("annihilation", "halfway", hamiltonian=None),
+                            "missing task parameter 'hamiltonian'"),
+    "t-missing": (*_task_edit("annihilation", "halfway", t=None),
+                  "missing task parameter 't'"),
+    "times-missing": (*_task_edit("annihilation", "deficit_curve", times=None),
+                      "missing task parameter 'times'"),
 }
 
 
 class TestTaskParameters:
-    @pytest.mark.parametrize("case", list(MISTYPED_PARAMETERS), ids=str)
+    @pytest.mark.parametrize("case", list(BAD_PARAMETERS), ids=str)
     def test_mistyped_parameter_fails_its_task(self, tmp_path, case):
-        name, task, data, message = MISTYPED_PARAMETERS[case]
+        name, task, data, message = BAD_PARAMETERS[case]
         path = tmp_path / "scenario.json"
         path.write_bytes(data)
         report = run_scenario(load_scenario(path))
@@ -490,7 +572,7 @@ class TestTaskParameters:
 
     def test_mistyped_parameter_exits_1_without_traceback(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_bytes(MISTYPED_PARAMETERS["count-float"][2])
+        path.write_bytes(BAD_PARAMETERS["count-float"][2])
         proc = run_cli(str(path), "--format", "machine")
         assert proc.returncode == 1 and b"Traceback" not in proc.stderr
         task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["sample_electron"]

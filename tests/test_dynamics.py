@@ -152,6 +152,13 @@ class TestEvolve:
         twice = evolve(evolve(psi, h, t1), h, t2)
         np.testing.assert_allclose(once.amplitudes, twice.amplitudes, atol=1e-9)
 
+    def test_overflowing_phases_fail_the_unitarity_check(self):
+        # At this coupling the phases w t overflow and the states are NaN: the
+        # drift check reports it, with no floating-point warning on the way.
+        _, h, psi0, _ = pair_annihilation_model(1e308)
+        with pytest.raises(ValueError, match="evolution lost unitarity: max norm drift nan"):
+            evolve(psi0, h, 10.0)
+
     def test_space_mismatch(self):
         h = build_hamiltonian(qudit_space(3, "a", "S1"), [])
         with pytest.raises(Exception, match="does not live"):

@@ -1,13 +1,16 @@
-"""Fuzzing the scenario loader: a bundled scenario with one or two JSON values
-replaced by ill-typed or out-of-range ones either loads or raises
-ScenarioError, which the CLI reports with exit code 2 and no traceback. A
-scenario that loads then runs its tasks, and no task may fail with an
-OverflowError: out-of-range values are load errors. A task may still fail on
-its own parameters (a TypeError for a mistyped one), which the CLI reports
-with exit code 1. Every report that runs is serialized in both formats, and
-its machine bytes must be what the json module writes for the same values:
-the fuzzed reports, error payloads included, are an oracle for the report
-writer."""
+"""Fuzzing the scenario loader: a bundled scenario with one or two edits,
+each replacing a JSON value by an ill-typed or out-of-range one or deleting
+a member of an object, either loads or raises ScenarioError, which the CLI
+reports with exit code 2 and no traceback. A ScenarioError names its location
+once: its message never repeats its leading location. A scenario that loads
+then runs its tasks, and no task may fail with an OverflowError (out-of-range
+values are load errors) or a KeyError (a missing task parameter is a task
+error that names the parameter). A task may still fail on its own parameters
+(a TypeError for a mistyped one, a ValueError for a missing one), which the
+CLI reports with exit code 1. Every report that runs is serialized in both
+formats, and its machine bytes must be what the json module writes for the
+same values: the fuzzed reports, error payloads included, are an oracle for
+the report writer."""
 from __future__ import annotations
 
 import copy
@@ -53,16 +56,21 @@ def test_edited_scenario_loads_or_raises_scenario_error(tmp_path_factory, name, 
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(POOL), label="value"))
+        if isinstance(node, dict) and data.draw(st.booleans(), label="delete"):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(POOL), label="value"))
     scenario = tmp_path_factory.getbasetemp() / "fuzzed-scenario.json"
     scenario.write_text(json.dumps(doc))
     try:
         loaded = load_scenario(scenario)
-    except ScenarioError:
+    except ScenarioError as exc:
+        location, _, rest = str(exc).partition(": ")
+        assert not rest.startswith(location + ": "), str(exc)
         return
     report = run_scenario(loaded, seed=0)
     errors = [t.error for t in report.tasks if t.status != "ok"]
-    assert not [e for e in errors if e["type"] == "OverflowError"], errors
+    assert not [e for e in errors if e["type"] in ("OverflowError", "KeyError")], errors
     report.to_text().encode("utf-8")
     machine = report.to_machine_bytes()
     assert machine == (json.dumps(json.loads(machine), sort_keys=True, indent=2,
