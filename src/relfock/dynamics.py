@@ -5,8 +5,11 @@ follows each basis column through the ``hilbert.mode_action`` index maps,
 hermitizes each term from those maps, and keeps H as its nonzero entries
 (row, column, value triplets), so no D x D matrix is built or scanned.
 Evolution is the exact matrix exponential through an eigendecomposition per
-conserved block (a connected component of H's nonzero pattern), computed once
-per Hamiltonian, so norm and energy are conserved to solver precision.
+conserved block (a connected component of H's nonzero pattern), so norm and
+energy are conserved to solver precision. A state never leaves the blocks it
+occupies, so each block is diagonalized on first need and kept: evolution
+diagonalizes and propagates only the blocks where the state has an exactly
+nonzero amplitude, and leaves every other entry exactly zero.
 ``SectorEigensystem.propagate`` is the one propagator: it takes u^dagger psi0
 once per block size and gives the state at every time as a row of one array;
 ``evolve_trajectory`` monitors those rows, and ``evolve`` is a one-point trajectory.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
@@ -115,11 +119,9 @@ class HamiltonianSpec:
 
     @cached_property
     def eigensystem(self) -> "SectorEigensystem":
-        """Eigendecomposition per conserved block, computed on first use."""
+        """The conserved blocks, found on first use; each block is
+        diagonalized on first need."""
         return _sector_eigensystem(self)
-
-    def spectral_norm(self) -> float:
-        return float(max(np.abs(w).max() for _, w, _ in self.eigensystem.blocks))
 
     def energy(self, amplitudes: np.ndarray) -> float:
         """<a|H|a>, with the product H a summed row by row from the triplets."""
@@ -142,24 +144,97 @@ def _hermiticity_deviation(h: HamiltonianSpec) -> float:
     return float(np.abs(h.vals - partner.conj()).max())
 
 
-@dataclass(frozen=True)
-class SectorEigensystem:
-    """H block by block: one (indices, eigenvalues, eigenvectors) triple per
-    block size s, stacking the k blocks of that size as arrays of shape
-    (k, s), (k, s) and (k, s, s); row i of indices lists the basis states of
-    one block in ascending order, and H restricted to them is
-    u[i] diag(w[i]) u[i]^dagger. All arrays are read-only."""
+@dataclass(eq=False)
+class _Blocks:
+    """The k conserved blocks of one size s. Row i of idx (k, s) lists the
+    basis states of block i in ascending order, and entries holds H's
+    nonzero entries inside these blocks as (block, row, column, value) in
+    block-local coordinates. The eigenpairs w (k, s) and u (k, s, s) are
+    allocated when the first block is diagonalized; done marks the blocks
+    they hold. Once every block is done, both turn read-only and the entries
+    are released."""
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    idx: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    done: np.ndarray
+    w: np.ndarray | None = None
+    u: np.ndarray | None = None
+
+    def eigenpairs(self, want) -> tuple[np.ndarray, np.ndarray]:
+        """(w[want], u[want]) for a block mask or slice, diagonalizing the
+        wanted blocks not done yet with one stacked ``eigh``."""
+        pending = np.zeros_like(self.done)
+        pending[want] = True
+        pending &= ~self.done
+        if pending.any():
+            w, u = self._diagonalize(pending)
+            if self.u is None:
+                k, s = self.idx.shape
+                self.w, self.u = np.empty((k, s)), np.empty((k, s, s), dtype=np.complex128)
+            self.w[pending], self.u[pending] = w, u
+            self.done |= pending
+            if self.done.all():
+                self.w.flags.writeable = self.u.flags.writeable = False
+                self.entries = None
+        return self.w[want], self.u[want]
+
+    def _diagonalize(self, pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gather the pending blocks from their entries and diagonalize them.
+        A size-1 block is its diagonal entry, with u = [[1]]; the gathered
+        stack is released on return."""
+        block, row, col, val = self.entries
+        take = pending[block]
+        slot = np.cumsum(pending) - 1  # position of each pending block in the stack
+        s = self.idx.shape[1]
+        stacked = np.zeros((slot[-1] + 1, s, s), dtype=val.dtype)
+        stacked[slot[block[take]], row[take], col[take]] = val[take]
+        if s == 1:
+            return stacked[:, 0].real, np.ones_like(stacked, dtype=np.complex128)
+        return np.linalg.eigh(stacked)
+
+
+class SectorEigensystem:
+    """H block by block: the connected components of its nonzero pattern,
+    grouped by size. ``blocks`` gives one (indices, eigenvalues,
+    eigenvectors) triple per block size s, stacking the k blocks of that size
+    as read-only arrays of shape (k, s), (k, s) and (k, s, s); row i of
+    indices lists the basis states of one block in ascending order, and H
+    restricted to them is u[i] diag(w[i]) u[i]^dagger.
+
+    Each block is diagonalized on first need and kept: ``propagate``
+    diagonalizes the blocks its amplitudes occupy, ``blocks`` the rest, and
+    no block is diagonalized twice. A lock guards the first need, so
+    concurrent use diagonalizes each block once too."""
+
+    def __init__(self, groups: Sequence[_Blocks]):
+        self._groups = tuple(groups)
+        self._lock = threading.Lock()
+
+    @property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        with self._lock:
+            for g in self._groups:
+                g.eigenpairs(slice(None))
+        return tuple((g.idx, g.w, g.u) for g in self._groups)
 
     def propagate(self, amplitudes: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """exp(-i H t) amplitudes at each time, as the rows of one read-only
-        (T, D) array: u (e^{-iwt} (u^dagger a)) per block, with the block
-        coefficients u^dagger a computed once per block size."""
+        (T, D) array: u (e^{-iwt} (u^dagger a)) per occupied block (one with
+        an amplitude that is exactly nonzero), with the block coefficients
+        u^dagger a computed once per block size. A state never leaves the
+        blocks it occupies, so every other entry is exactly +0."""
         times = np.asarray(times, dtype=np.float64).tolist()
-        out = np.empty((len(times), len(amplitudes)), dtype=np.complex128)
-        for idx, w, u in self.blocks:
-            a = amplitudes[idx]
+        out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
+        for g in self._groups:
+            a = amplitudes[g.idx]
+            occupied = a.any(axis=1)
+            if not occupied.any():
+                continue
+            if occupied.all():
+                occupied = slice(None)  # views of the whole stack, no copies
+            with self._lock:
+                w, u = g.eigenpairs(occupied)
+            idx, a = g.idx[occupied], a[occupied]
             if w.shape[1] == 1:  # u is [[1]]: a phase only
                 for row, t in zip(out, times):
                     row[idx] = np.exp(-1j * w * t) * a
@@ -175,11 +250,10 @@ class SectorEigensystem:
 
 
 def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
-    """Split H into the connected components of its nonzero pattern and
-    diagonalize them, with one stacked ``eigh`` per block size. Size-1 blocks
-    are their diagonal entry and other blocks are gathered from the triplets,
-    a single block spanning the space included. A real H (every Hamiltonian
-    ``build_hamiltonian`` assembles) is gathered and diagonalized in real
+    """Split H into the connected components of its nonzero pattern and keep,
+    per block size, each block's indices and in-block entries; no block is
+    diagonalized here. A real H (every Hamiltonian ``build_hamiltonian``
+    assembles) keeps real entries, so its blocks are diagonalized in real
     arithmetic; the eigenvectors are stored complex either way."""
     n, rows, cols = h.space.dimension, h.rows, h.cols
     vals = h.vals if h.vals.imag.any() else h.vals.real
@@ -200,28 +274,18 @@ def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     inside = label[rows] == label[cols]
-    blocks, start = [], 0
+    groups, start = [], 0
     for s in np.unique(size).tolist():
         idx = order[size_in_order == s].reshape(-1, s)
-        if s == 1:
-            diag = np.zeros(n)
-            on = rows == cols
-            diag[rows[on]] = h.vals[on].real
-            w = diag[idx]
-            u = np.ones((len(idx), 1, 1), dtype=np.complex128)
-        else:
-            # entry (r, c) of block b sits at row rank[r] - start of the
-            # (k*s, s) stack and at column (rank[c] - start) % s
-            sel = inside & (size[rows] == s)
-            stacked = np.zeros((idx.size, s), dtype=vals.dtype)
-            stacked[rank[rows[sel]] - start, (rank[cols[sel]] - start) % s] = vals[sel]
-            w, u = np.linalg.eigh(stacked.reshape(-1, s, s))
-            u = u.astype(np.complex128, copy=False)
-        for arr in (idx, w, u):
-            arr.flags.writeable = False
-        blocks.append((idx, w, u))
+        idx.flags.writeable = False
+        # entry (r, c) of block b sits at rank[r] - start = b*s + row and
+        # rank[c] - start = b*s + column
+        sel = inside & (size[rows] == s)
+        at_row, at_col = rank[rows[sel]] - start, rank[cols[sel]] - start
+        entries = (at_row // s, at_row % s, at_col % s, vals[sel])
+        groups.append(_Blocks(idx, entries, np.zeros(len(idx), dtype=bool)))
         start += idx.size
-    return SectorEigensystem(tuple(blocks))
+    return SectorEigensystem(groups)
 
 
 def build_hamiltonian(space: FockSpace,

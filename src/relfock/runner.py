@@ -8,10 +8,11 @@ required parameters fails with "missing task parameter 'state'":
   spectrum          state, embedding, factor?
   schmidt           state, embedding
   joint             state, embeddings (list of mode-partition embeddings)
-  evolve            state, hamiltonian, t (a number)
+  evolve            state, hamiltonian, t (a finite number)
   trace-trajectory  state, hamiltonian, embedding,
-                    times (list of numbers, or {"start","stop","num"} with
-                    an integer num), charge_kinds? (list of kind names)
+                    times (list of finite numbers, or {"start","stop","num"}
+                    with a nonnegative integer num), charge_kinds? (list of
+                    kind names)
   check-ssr         state, embedding, kind
   sample            state, embedding, factor?, count? (integer, default 100),
                     seed? (nonnegative integer; falls back to the run-level
@@ -23,6 +24,7 @@ a crash of the run.
 """
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -47,13 +49,17 @@ def _required(params: Mapping[str, Any], key: str) -> Any:
 
 
 def _number(value: Any, name: str) -> float:
-    """A task parameter that must be a JSON number, as a float."""
+    """A task parameter that must be a finite JSON number, as a float (the
+    JSON reader also accepts NaN and Infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an int beyond the float range
         raise ValueError(f"{name} must be within the float range, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, name: str) -> int:
@@ -69,9 +75,11 @@ def _times_from(params: Mapping[str, Any]) -> np.ndarray:
         for key in ("start", "stop", "num"):
             if key not in times:
                 raise ValueError(f"times needs start, stop and num; times.{key} is missing")
+        num = _integer(times["num"], "times.num")
+        if num < 0:
+            raise ValueError(f"times.num must be a nonnegative integer, got {num}")
         return np.linspace(_number(times["start"], "times.start"),
-                           _number(times["stop"], "times.stop"),
-                           _integer(times["num"], "times.num"))
+                           _number(times["stop"], "times.stop"), num)
     if isinstance(times, list):
         return np.asarray([_number(t, f"times[{i}]") for i, t in enumerate(times)])
     raise ValueError("times must be a list of numbers or {start, stop, num}")

@@ -30,6 +30,11 @@ def mode_matrix(space: FockSpace, label: str, kind: str) -> np.ndarray:
     return mat
 
 
+def spectral_norm(h) -> float:
+    """max |eigenvalue| of a Hamiltonian, from every block of its eigensystem."""
+    return float(max(np.abs(w).max() for _, w, _ in h.eigensystem.blocks))
+
+
 def random_pair(seed: int, max_side: int = 8, max_ref: int = 64):
     """A random (state, embedding) pair with dim(R) possibly exceeding the
     image dimension, so part of the state lies outside the image."""

@@ -44,7 +44,7 @@ from relfock import (
     build_hamiltonian,
 )
 
-from conftest import qudit_space
+from conftest import qudit_space, spectral_norm
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIO_DIR = Path(__file__).parents[1] / "src" / "relfock" / "scenarios"
@@ -261,7 +261,7 @@ def test_criterion_7_dynamics_suite():
         ModeSpec("photon", "boson", 1),
     ], "acc7")
     h = conversion_hamiltonian(space, 0.7, ["photon"], ["e-", "e+"])
-    h_norm = h.spectral_norm()
+    h_norm = spectral_norm(h)
     psi0 = basis_state(space, (1, 1, 0))
     times = np.linspace(0.0, 100.0 / h_norm, 101)
     traj = evolve_trajectory(psi0, h, times)

@@ -536,6 +536,17 @@ BAD_PARAMETERS = {
                            "times.start must be a number, got '0'"),
     "times-without-num": (*_task_edit("annihilation", "deficit_curve", times={"num": None}),
                           "times needs start, stop and num; times.num is missing"),
+    "times-num-negative": (*_task_edit("annihilation", "deficit_curve", times={"num": -2}),
+                           "times.num must be a nonnegative integer, got -2"),
+    "t-infinite": (*_task_edit("annihilation", "halfway", t=float("inf")),
+                   "t must be a finite number, got inf"),
+    "t-nan": (*_task_edit("annihilation", "halfway", t=float("nan")),
+              "t must be a finite number, got nan"),
+    "times-entry-nan": (*_task_edit("annihilation", "deficit_curve", times=[0, float("nan")]),
+                        "times[1] must be a finite number, got nan"),
+    "times-stop-infinite": (*_task_edit("annihilation", "deficit_curve",
+                                        times={"stop": float("-inf")}),
+                            "times.stop must be a finite number, got -inf"),
     "charge-kinds-string": (*_task_edit("annihilation", "deficit_curve",
                                         charge_kinds="electric"),
                             "charge_kinds must be a list of charge kind names, got 'electric'"),
@@ -578,6 +589,18 @@ class TestTaskParameters:
         task = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}["sample_electron"]
         assert task["error"] == {"type": "TypeError",
                                  "message": "count must be an integer, got 2.7"}
+
+    @pytest.mark.parametrize("case", ["times-num-negative", "t-infinite", "times-entry-nan"])
+    def test_out_of_range_parameter_exits_1_naming_it(self, tmp_path, case):
+        # NaN and Infinity are JSON the reader accepts; they must not reach
+        # the evolution as a "lost unitarity" failure.
+        name, task, data, message = BAD_PARAMETERS[case]
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        proc = run_cli(str(path), "--format", "machine")
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        task_report = {t["name"]: t for t in json.loads(proc.stdout)["tasks"]}[task]
+        assert task_report["error"] == {"type": "ValueError", "message": message}
 
     def test_integer_times_and_t_are_numbers(self, tmp_path):
         _, _, data = _task_edit("annihilation", "deficit_curve", times={"start": 0, "stop": 3})

@@ -33,7 +33,7 @@ from relfock.dynamics import SectorEigensystem, _hermiticity_deviation
 
 from relfock.hilbert import pull_back
 
-from conftest import mode_matrix, qudit_space
+from conftest import mode_matrix, qudit_space, spectral_norm
 
 
 def pair_annihilation_model(g: float = 1.0):
@@ -168,7 +168,7 @@ class TestEvolve:
 class TestTrajectories:
     def test_norm_energy_charge_conservation(self):
         space, h, psi0, _ = pair_annihilation_model(g=0.6)
-        h_norm = h.spectral_norm()
+        h_norm = spectral_norm(h)
         times = np.linspace(0.0, 100.0 / h_norm, 101)
         traj = evolve_trajectory(psi0, h, times, charge_kinds=("electric", "lepton"))
         assert np.abs(traj.norms - 1.0).max() < 1e-9
@@ -358,14 +358,14 @@ class TestSectorEigensystem:
         space, terms = _random_terms(seed)
         h = build_hamiltonian(space, terms)
         seen = _counting_eigh(monkeypatch)
-        eigensystem = h.eigensystem
+        blocks = h.eigensystem.blocks
         assert all(a.dtype == np.float64 for a in seen)
         monkeypatch.undo()
         w = np.linalg.eigh(h.matrix)[0]
-        blocks_w = np.sort(np.concatenate([bw.ravel() for _, bw, _ in eigensystem.blocks]))
+        blocks_w = np.sort(np.concatenate([bw.ravel() for _, bw, _ in blocks]))
         norm = np.abs(w).max(initial=0.0)
         assert np.abs(blocks_w - w).max() <= 1e-12 * norm
-        assert all(bu.dtype == np.complex128 for _, _, bu in eigensystem.blocks)
+        assert all(bu.dtype == np.complex128 for _, _, bu in blocks)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_complex_scattered_blocks_match_dense_eigh(self, seed, monkeypatch):
@@ -581,6 +581,98 @@ class TestOnePropagator:
         assert type(result["norm_sq"]) is float and type(result["energy"]) is float
 
 
+def _chain(sites=8):
+    """A fermion hopping chain; its blocks are the particle-number sectors."""
+    space = build_fock_space([ModeSpec(f"s{i}", "fermion", 1) for i in range(sites)])
+    return build_hamiltonian(space, [
+        (0.5 + 0.1 * i, (("create", f"s{i + 1}"), ("annihilate", f"s{i}")))
+        for i in range(sites - 1)])
+
+
+def _sparse_states(h, kind, rng):
+    """A unit state on few blocks of h (a basis state, a random state on one
+    block, or a random state on a random subset of the blocks) and the mask
+    of the entries outside the blocks it occupies."""
+    blocks = [row for idx, _, _ in h.eigensystem.blocks for row in idx]
+    n = h.space.dimension
+    if kind == "basis":
+        support = rng.integers(n, size=1)
+    elif kind == "sector":
+        support = blocks[int(rng.integers(len(blocks)))]
+    else:
+        support = np.concatenate([b for b in blocks if rng.random() < 0.3] or blocks[:1])
+    amps = np.zeros(n, dtype=np.complex128)
+    amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    outside = np.ones(n, dtype=bool)
+    for b in blocks:
+        if amps[b].any():
+            outside[b] = False
+    return amps / np.linalg.norm(amps), outside
+
+
+LAZY_CASES = [*range(12), "complex", "conversion"]
+
+
+class TestLazyBlocks:
+    def test_only_occupied_blocks_are_diagonalized_once(self, monkeypatch):
+        h = _chain()
+        seen = _counting_eigh(monkeypatch)
+        half = basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0))
+        evolve_trajectory(half, h, [0.0, 0.5, 1.0])
+        # the 70-state half-filled sector alone, of 9 sectors
+        assert [a.shape for a in seen] == [(1, 70, 70)]
+        sector = np.flatnonzero(h.space.basis_occupations.sum(axis=1) == 4)
+        assert np.array_equal(seen[0][0], h.matrix.real[np.ix_(sector, sector)])
+        three = basis_state(h.space, (1, 1, 1, 0, 0, 0, 0, 0))
+        evolve(three, h, 0.7)
+        # one of the two 56-state sectors
+        assert [a.shape for a in seen] == [(1, 70, 70), (1, 56, 56)]
+        evolve(half, h, 0.3)
+        evolve_trajectory(three, h, [0.2, 0.4])
+        assert len(seen) == 2
+        assert len(h.eigensystem.blocks) == 5  # sizes 1, 8, 28, 56 and 70
+        # the rest: the other 56-state sector and every other size but 1
+        assert [a.shape for a in seen[2:]] == [(2, 8, 8), (2, 28, 28), (1, 56, 56)]
+        evolve(basis_state(h.space, (1, 1, 1, 1, 1, 0, 0, 0)), h, 0.1)
+        assert len(seen) == 5
+
+    @pytest.mark.parametrize("case", LAZY_CASES)
+    def test_lazy_blocks_equal_blocks_of_a_fresh_spec(self, case):
+        h = _propagation_case(case)[0]
+        fresh = _propagation_case(case)[0]
+        rng = np.random.default_rng(7)
+        for kind in ("basis", "sector"):
+            amps, _ = _sparse_states(fresh, kind, rng)
+            evolve(StateVector(h.space_id, amps), h, 0.6)
+        for (idx, w, u), (idx_f, w_f, u_f) in zip(h.eigensystem.blocks,
+                                                  fresh.eigensystem.blocks):
+            assert idx.tobytes() == idx_f.tobytes()
+            assert w.tobytes() == w_f.tobytes() and u.tobytes() == u_f.tobytes()
+            for arr in (idx, w, u):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["basis", "sector", "subset"])
+    @pytest.mark.parametrize("case", LAZY_CASES)
+    def test_sparse_support_propagation(self, case, kind):
+        reference = _propagation_case(case)[0]
+        w, u = np.linalg.eigh(reference.matrix)
+        rng = np.random.default_rng(11)
+        times = TIME_GRIDS[7]
+        for _ in range(3):
+            h = _propagation_case(case)[0]
+            amps, outside = _sparse_states(reference, kind, rng)
+            traj = evolve_trajectory(StateVector(h.space_id, amps), h, times)
+            for t, state in zip(times, traj.states):
+                psi_t = state.amplitudes
+                full = _step_propagate(reference.eigensystem, amps, t)
+                assert np.array_equal(psi_t, full)
+                dense = u @ (np.exp(-1j * w * t) * (u.conj().T @ amps))
+                np.testing.assert_allclose(psi_t, dense, rtol=0, atol=1e-12)
+                assert np.all(psi_t[outside] == 0)
+                assert not np.signbit(psi_t[outside].real).any()
+                assert not np.signbit(psi_t[outside].imag).any()
+
+
 def _random_triplets(seed, n=12):
     """Complex triplets on an n x n grid, some positions repeated: Hermitian
     for even seeds, with one transpose partner dropped when seed % 4 == 2,
@@ -691,7 +783,7 @@ class TestTriplets:
         assert peak < dd_bytes / 4
         assert [t.status for t in report.tasks] == ["ok", "ok"]
 
-        scale = 1e-12 * h.spectral_norm()
+        scale = 1e-12 * spectral_norm(h)
         dense = h.matrix
         assert abs(h.energy(later.amplitudes)
                    - np.vdot(later.amplitudes, dense @ later.amplitudes).real) < scale
