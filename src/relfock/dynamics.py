@@ -9,10 +9,12 @@ conserved block (a connected component of H's nonzero pattern), so norm and
 energy are conserved to solver precision. A state never leaves the blocks it
 occupies, so each block is diagonalized on first need and kept: evolution
 diagonalizes and propagates only the blocks where the state has an exactly
-nonzero amplitude, and leaves every other entry exactly zero.
+nonzero amplitude (the support), and leaves every other entry exactly zero.
 ``SectorEigensystem.propagate`` is the one propagator: it takes u^dagger psi0
-once per block size and gives the state at every time as a row of one array;
-``evolve_trajectory`` monitors those rows, and ``evolve`` is a one-point trajectory.
+once per block size and gives the states at all times from one broadcast
+product per block size, as the rows of one array. ``evolve_trajectory``
+computes each monitor as one array expression over the support columns of
+that array, and ``evolve`` is a one-point trajectory.
 Coefficients are finite reals and every factor weight is real, so an
 assembled H is real symmetric and its blocks are diagonalized in real
 arithmetic.
@@ -37,7 +39,6 @@ from .hilbert import (
     StateVector,
     charge_values,
     mode_action,
-    pull_back,
 )
 from .tolerances import Tolerances, resolve
 
@@ -123,13 +124,19 @@ class HamiltonianSpec:
         diagonalized on first need."""
         return _sector_eigensystem(self)
 
-    def energy(self, amplitudes: np.ndarray) -> float:
-        """<a|H|a>, with the product H a summed row by row from the triplets."""
-        products = self.vals * amplitudes[self.cols]
-        h_a = np.empty(self.space.dimension, dtype=np.complex128)
-        h_a.real = np.bincount(self.rows, products.real, len(h_a))
-        h_a.imag = np.bincount(self.rows, products.imag, len(h_a))
-        return float(np.vdot(amplitudes, h_a).real)
+    def energies(self, amplitudes: np.ndarray, support=slice(None)) -> np.ndarray:
+        """Re <a|H|a> for each row a of a (T, D) array, as the triplet sum
+        Re sum conj(a[r]) v a[c]. Only the triplets inside support are read:
+        pass the basis indices outside of which every row is zero."""
+        inside = np.zeros(self.space.dimension, dtype=bool)
+        inside[support] = True
+        keep = inside[self.rows] & inside[self.cols]
+        # take keeps rows contiguous, so each row is summed as one vector
+        products = amplitudes.take(self.cols[keep], axis=1)
+        products *= self.vals[keep]
+        left = amplitudes.take(self.rows[keep], axis=1)
+        products *= np.conjugate(left, out=left)
+        return products.real.sum(axis=1)
 
 
 def _hermiticity_deviation(h: HamiltonianSpec) -> float:
@@ -217,14 +224,19 @@ class SectorEigensystem:
                 g.eigenpairs(slice(None))
         return tuple((g.idx, g.w, g.u) for g in self._groups)
 
-    def propagate(self, amplitudes: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    def propagate(self, amplitudes: np.ndarray,
+                  times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """exp(-i H t) amplitudes at each time, as the rows of one read-only
-        (T, D) array: u (e^{-iwt} (u^dagger a)) per occupied block (one with
-        an amplitude that is exactly nonzero), with the block coefficients
-        u^dagger a computed once per block size. A state never leaves the
-        blocks it occupies, so every other entry is exactly +0."""
-        times = np.asarray(times, dtype=np.float64).tolist()
+        (T, D) array, and the support: the ascending basis indices of the
+        occupied blocks (those with an amplitude that is exactly nonzero).
+        Per block size, the phases at all times form one (T, k, s) array and
+        u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
+        (T, k, 1, s) @ (k, s, s), with u^dagger a computed once. A state
+        never leaves the blocks it occupies, so every entry outside the
+        support is exactly +0. No time, no diagonalization."""
+        times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
+        support = [np.zeros(0, dtype=np.int64)]
         for g in self._groups:
             a = amplitudes[g.idx]
             occupied = a.any(axis=1)
@@ -232,21 +244,21 @@ class SectorEigensystem:
                 continue
             if occupied.all():
                 occupied = slice(None)  # views of the whole stack, no copies
+            idx, a = g.idx[occupied], a[occupied]
+            support.append(idx.ravel())
+            if not len(times):
+                continue
             with self._lock:
                 w, u = g.eigenpairs(occupied)
-            idx, a = g.idx[occupied], a[occupied]
+            phases = np.exp(-1j * w * times[:, None, None])
             if w.shape[1] == 1:  # u is [[1]]: a phase only
-                for row, t in zip(out, times):
-                    row[idx] = np.exp(-1j * w * t) * a
+                out[:, idx] = phases * a
                 continue
             # u^dagger a as conj(a^dagger u): no conjugated copy of u
             coeffs = np.matmul(a.conj()[:, None, :], u).conj()
-            u_t = u.swapaxes(1, 2)
-            for row, t in zip(out, times):
-                phase = np.exp(-1j * w * t)
-                row[idx] = np.matmul(coeffs * phase[:, None, :], u_t)[:, 0, :]
+            out[:, idx] = np.matmul(coeffs * phases[:, :, None, :], u.swapaxes(1, 2))[:, :, 0]
         out.flags.writeable = False
-        return out
+        return out, np.sort(np.concatenate(support))
 
 
 def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
@@ -362,20 +374,33 @@ def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
     return evolve_trajectory(psi0, h, [t], tol=tol).states[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Recorded evolution: states plus scalar monitors at each time."""
+    """Recorded evolution: the state at each time as a row of one read-only
+    (T, D) array, plus scalar monitors at each time."""
 
     times: np.ndarray
-    states: list[StateVector]
+    space_id: str
+    amplitudes: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
     charge_expectations: dict[str, np.ndarray]
     relational_traces: dict[str, np.ndarray]
 
+    @cached_property
+    def states(self) -> list[StateVector]:
+        """The state at each time, as read-only views of the rows of
+        ``amplitudes``, built on first read."""
+        return [StateVector(self.space_id, row) for row in self.amplitudes]
+
     def deficits(self, key: str) -> np.ndarray:
         """Trace deficit 1 - Tr rho for a monitored embedding."""
         return 1.0 - self.relational_traces[key]
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 entrywise, as re^2 + im^2."""
+    return np.square(z.real) + np.square(z.imag)
 
 
 def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[float],
@@ -383,7 +408,13 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
                       charge_kinds: Sequence[str] = (),
                       tol: Tolerances | None = None) -> Trajectory:
     """Evolve and record norm, energy, charge expectations and relational
-    traces for each registered embedding at every requested time."""
+    traces for each registered embedding at every requested time. Each
+    monitor is one array expression over the support columns of the states
+    (a view of every column when the state occupies every block): norms,
+    charges and index-map traces are sums of |a|^2, weighted by the charge
+    or by how many embedded columns each entry carries; energies are the
+    triplet sums inside the support; an explicit isometry V gives its traces
+    from one product conj(a) @ V."""
     tol = resolve(tol)
     psi0.require_space(h.space_id, h.space.dimension)
     if not psi0.is_normalized(tol):
@@ -395,24 +426,33 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
                 f"embedding {key!r} references {emb.reference_id!r}, expected {h.space_id!r}"
             )
     charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
+    n = h.space.dimension
 
     times_arr = np.asarray(list(times), dtype=np.float64)
     # Phases w t that overflow make states NaN; the drift check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = h.eigensystem.propagate(psi0.amplitudes, times_arr)
-    states = [StateVector(psi0.space_id, row) for row in amps]
-    norms = np.array([np.vdot(a, a).real for a in amps])
-    energies = np.array([h.energy(a) for a in amps])
-    charges = {kind: np.array([np.vdot(a, q * a).real for a in amps])
-               for kind, q in charge_diags.items()}
-    traces = {key: np.array([np.vdot(phi, phi).real
-                             for phi in (pull_back(s, emb) for s in states)])
-              for key, emb in embeddings.items()}
+        amps, support = h.eigensystem.propagate(psi0.amplitudes, times_arr)
+        if len(support) == n:  # every block occupied: a view, not a gathered copy
+            support, occupied = slice(None), amps
+        else:  # take keeps rows contiguous, so each row is summed as one vector
+            occupied = amps.take(support, axis=1)
+        weights = _abs2(occupied)
+        norms = weights.sum(axis=1)
+        energies = h.energies(amps, support)
+        charges = {kind: (weights * q[support]).sum(axis=1)
+                   for kind, q in charge_diags.items()}
+        traces = {}
+        for key, emb in embeddings.items():
+            if emb.rows is None:
+                traces[key] = _abs2(amps.conj() @ emb.isometry).sum(axis=1)
+            else:
+                carried = np.bincount(emb.rows[emb.rows >= 0], minlength=n)[support]
+                traces[key] = (weights * carried).sum(axis=1)
     drift = float(np.abs(norms - 1.0).max(initial=0.0))
     if not drift < tol.evolve:  # NaN fails too
         raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")
-    return Trajectory(times=times_arr, states=states, norms=norms, energies=energies,
-                      charge_expectations=charges, relational_traces=traces)
+    return Trajectory(times=times_arr, space_id=psi0.space_id, amplitudes=amps, norms=norms,
+                      energies=energies, charge_expectations=charges, relational_traces=traces)
 
 
 def trace_deficit_trajectory(psi0: StateVector, h: HamiltonianSpec, e: Embedding,

@@ -53,5 +53,18 @@ def random_pair(seed: int, max_side: int = 8, max_ref: int = 64):
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrix argument of every np.linalg.eigh call the test makes, in
+    call order; ``monkeypatch.undo()`` stops the recording."""
+    seen, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return seen
+
+
+@pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20240811))

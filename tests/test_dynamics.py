@@ -10,6 +10,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from relfock import (
+    Embedding,
     HamiltonianSpec,
     ModeSpec,
     StateVector,
@@ -30,8 +31,6 @@ from relfock import (
     trace_deficit_trajectory,
 )
 from relfock.dynamics import SectorEigensystem, _hermiticity_deviation
-
-from relfock.hilbert import pull_back
 
 from conftest import mode_matrix, qudit_space, spectral_norm
 
@@ -315,17 +314,6 @@ def _block_sets(h):
     return [frozenset(row.tolist()) for idx, _, _ in h.eigensystem.blocks for row in idx]
 
 
-def _counting_eigh(monkeypatch):
-    """Record the matrix argument of every np.linalg.eigh call."""
-    seen, eigh = [], np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        seen.append(a)
-        return eigh(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return seen
-
-
 class TestSectorEigensystem:
     @pytest.mark.parametrize("seed", range(60))
     def test_blocks_are_connected_components(self, seed):
@@ -351,15 +339,14 @@ class TestSectorEigensystem:
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_real_eigensystem_matches_complex_dense_eigh(self, seed, monkeypatch):
+    def test_real_eigensystem_matches_complex_dense_eigh(self, seed, monkeypatch, eigh_calls):
         # Mixed bosons and fermions with Jordan-Wigner signs; eight of these
         # seeds give one block spanning the space. Propagation on the same
         # seeds is checked by test_evolution_matches_dense_eigh.
         space, terms = _random_terms(seed)
         h = build_hamiltonian(space, terms)
-        seen = _counting_eigh(monkeypatch)
         blocks = h.eigensystem.blocks
-        assert all(a.dtype == np.float64 for a in seen)
+        assert all(a.dtype == np.float64 for a in eigh_calls)
         monkeypatch.undo()
         w = np.linalg.eigh(h.matrix)[0]
         blocks_w = np.sort(np.concatenate([bw.ravel() for _, bw, _ in blocks]))
@@ -368,7 +355,7 @@ class TestSectorEigensystem:
         assert all(bu.dtype == np.complex128 for _, _, bu in blocks)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_complex_scattered_blocks_match_dense_eigh(self, seed, monkeypatch):
+    def test_complex_scattered_blocks_match_dense_eigh(self, seed, monkeypatch, eigh_calls):
         # Complex Hermitian blocks on random, interleaved index sets.
         rng = np.random.default_rng(seed)
         space = build_fock_space([ModeSpec(f"m{i}", "boson", 1) for i in range(5)])
@@ -377,10 +364,9 @@ class TestSectorEigensystem:
         mat = (mat + mat.conj().T) * (labels[:, None] == labels)
         rows, cols = np.nonzero(mat)
         h = HamiltonianSpec(space, (), rows, cols, mat[rows, cols])
-        seen = _counting_eigh(monkeypatch)
         assert set(_block_sets(h)) == {frozenset(np.flatnonzero(labels == k).tolist())
                                        for k in np.unique(labels)}
-        assert seen and all(a.dtype == np.complex128 for a in seen)
+        assert eigh_calls and all(a.dtype == np.complex128 for a in eigh_calls)
         monkeypatch.undo()
         psi = random_state_vector(space, seed)
         w, u = np.linalg.eigh(h.matrix)
@@ -408,28 +394,27 @@ class TestSectorEigensystem:
         h = load_scenario(str(bundled)).hamiltonians["pair_conversion"]
         assert len(_block_sets(h)) == 7
 
-    def test_one_block_is_diagonalized_whole(self, monkeypatch):
+    def test_one_block_is_diagonalized_whole(self, eigh_calls):
         space = build_fock_space([ModeSpec(f"q{i}", "boson", 1) for i in range(4)])
         h = build_hamiltonian(space, [(0.3 + i, (("create", f"q{i}"),)) for i in range(4)])
-        seen = _counting_eigh(monkeypatch)
         (idx, w, u), = h.eigensystem.blocks
         psi0 = basis_state(space, (0, 0, 0, 0))
         evolve(psi0, h, 0.5)
         evolve_trajectory(psi0, h, [0.0, 0.5, 1.0])
         assert "matrix" not in vars(h)  # evolution builds no dense complex H
-        assert len(seen) == 1 and seen[0].dtype == np.float64 and seen[0].shape == (1, 16, 16)
-        assert seen[0][0].tobytes() == np.ascontiguousarray(h.matrix.real).tobytes()
+        assert len(eigh_calls) == 1
+        assert eigh_calls[0].dtype == np.float64 and eigh_calls[0].shape == (1, 16, 16)
+        assert eigh_calls[0][0].tobytes() == np.ascontiguousarray(h.matrix.real).tobytes()
         assert np.array_equal(idx, np.arange(space.dimension)[None])
         assert w.shape == (1, 16) and u.shape == (1, 16, 16) and u.dtype == np.complex128
 
-    def test_eigensystem_is_cached_read_only_and_shared(self, monkeypatch):
+    def test_eigensystem_is_cached_read_only_and_shared(self, eigh_calls):
         space, h, psi0, embedding = pair_annihilation_model()
-        seen = _counting_eigh(monkeypatch)
         evolve(psi0, h, 0.4)
         eigensystem = h.eigensystem
         trace_deficit_trajectory(psi0, h, embedding, [0.0, 0.5, 1.0])
         evolve(psi0, h, 0.9)
-        assert len(seen) == 1  # the one size-2 block, diagonalized once
+        assert len(eigh_calls) == 1  # the one size-2 block, diagonalized once
         assert h.eigensystem is eigensystem
         for arrays in eigensystem.blocks:
             for arr in arrays:
@@ -439,7 +424,10 @@ class TestSectorEigensystem:
 
 
 # Reference: the per-time propagator and monitor loop that the one-call
-# trajectory replaced, with u^dagger a recomputed at every time.
+# trajectory replaced, with u^dagger a recomputed at every time. Each monitor
+# is computed one time at a time with the reductions the trajectory applies
+# to all times at once, over the same support: the entries of the blocks
+# where psi0 has a nonzero amplitude, and H's triplets inside them.
 def _step_propagate(eigensystem, amplitudes, t):
     out = np.empty_like(amplitudes)
     for idx, w, u in eigensystem.blocks:
@@ -453,22 +441,35 @@ def _step_propagate(eigensystem, amplitudes, t):
     return out
 
 
+def _support(h, amplitudes):
+    blocks = [row for idx, _, _ in h.eigensystem.blocks for row in idx]
+    return np.sort(np.concatenate([b for b in blocks if amplitudes[b].any()]))
+
+
 def _step_trajectory(psi0, h, times, embeddings, charge_kinds):
     times = np.asarray(times, dtype=np.float64)
-    charge_diags = {kind: charge_values(h.space, kind) for kind in charge_kinds}
+    support = _support(h, psi0.amplitudes)
+    inside = np.zeros(h.space.dimension, dtype=bool)
+    inside[support] = True
+    keep = inside[h.rows] & inside[h.cols]
+    rows, cols, vals = h.rows[keep], h.cols[keep], h.vals[keep]
+    charge_diags = {kind: charge_values(h.space, kind)[support] for kind in charge_kinds}
+    carried = {key: np.bincount(emb.rows[emb.rows >= 0], minlength=h.space.dimension)[support]
+               for key, emb in embeddings.items()}
     states, norms, energies = [], np.empty(len(times)), np.empty(len(times))
     charges = {kind: np.empty(len(times)) for kind in charge_diags}
     traces = {key: np.empty(len(times)) for key in embeddings}
     for i, t in enumerate(times):
         amps = _step_propagate(h.eigensystem, psi0.amplitudes, float(t))
         states.append(amps)
-        norms[i] = float(np.vdot(amps, amps).real)
-        energies[i] = h.energy(amps)
+        a = amps[support]
+        weights = np.square(a.real) + np.square(a.imag)
+        norms[i] = weights.sum()
+        energies[i] = (amps[cols] * vals * amps[rows].conj()).real.sum()
         for kind, q in charge_diags.items():
-            charges[kind][i] = float(np.vdot(amps, q * amps).real)
-        for key, emb in embeddings.items():
-            phi = pull_back(StateVector(psi0.space_id, amps), emb)
-            traces[key][i] = float(np.vdot(phi, phi).real)
+            charges[kind][i] = (weights * q).sum()
+        for key, count in carried.items():
+            traces[key][i] = (weights * count).sum()
     return states, norms, energies, charges, traces
 
 
@@ -497,6 +498,22 @@ def _propagation_case(case):
         psi0 = random_state_vector(space, case)
     embedding = mode_partition_embedding(space, [space.mode_labels[0]])
     return h, psi0, {"first": embedding}, ("electric",)
+
+
+def _assert_monitors_match_dense(traj, h, embeddings, kinds):
+    """Every monitor of traj against the dense quantities of each state:
+    <a|a>, <a|H|a> with the dense H, <a|q|a> and |V^dagger a|^2."""
+    dense = h.matrix
+    for i, state in enumerate(traj.states):
+        a = state.amplitudes
+        assert abs(traj.norms[i] - np.vdot(a, a).real) < 1e-12
+        assert abs(traj.energies[i] - np.vdot(a, dense @ a).real) < 1e-12
+        for kind in kinds:
+            q = charge_values(h.space, kind)
+            assert abs(traj.charge_expectations[kind][i] - np.vdot(a, q * a).real) < 1e-12
+        for key, e in embeddings.items():
+            phi = e.isometry.conj().T @ a
+            assert abs(traj.relational_traces[key][i] - np.vdot(phi, phi).real) < 1e-12
 
 
 PROPAGATION_CASES = [*range(12), "spanning", "complex", "conversion"]
@@ -534,6 +551,19 @@ class TestOnePropagator:
         for key in embeddings:
             assert traj.relational_traces[key].tobytes() == traces[key].tobytes()
 
+    @pytest.mark.parametrize("count", sorted(TIME_GRIDS))
+    @pytest.mark.parametrize("case", PROPAGATION_CASES)
+    def test_monitors_match_dense_references(self, case, count):
+        h, psi0, embeddings, kinds = _propagation_case(case)
+        (key, e), = embeddings.items()
+        # the same map given as an explicit matrix takes the conj(a) @ V path
+        embeddings["explicit"] = Embedding(e.subsystem, e.complementer, e.reference,
+                                           isometry=e.isometry)
+        times = TIME_GRIDS[count]
+        traj = evolve_trajectory(psi0, h, times, embeddings=embeddings, charge_kinds=kinds)
+        _assert_monitors_match_dense(traj, h, embeddings, kinds)
+        assert len(traj.norms) == len(traj.energies) == count
+
     def test_one_propagate_call_per_evolution(self, monkeypatch):
         h, psi0, embeddings, kinds = _propagation_case("conversion")
         calls, propagate = [], SectorEigensystem.propagate
@@ -553,12 +583,16 @@ class TestOnePropagator:
     def test_states_share_one_read_only_buffer(self):
         h, psi0, embeddings, _ = _propagation_case("conversion")
         traj = evolve_trajectory(psi0, h, TIME_GRIDS[7], embeddings=embeddings)
+        assert "states" not in vars(traj)  # built on first read
         buffer = traj.states[0].amplitudes.base
+        assert buffer is traj.amplitudes
         assert buffer is not None and buffer.shape == (7, h.space.dimension)
         assert not buffer.flags.writeable
+        assert traj.states is traj.states
         for i, state in enumerate(traj.states):
             assert state.amplitudes.base is buffer
             assert np.shares_memory(state.amplitudes, buffer[i])
+            assert np.array_equal(state.amplitudes, buffer[i])
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 0
 
@@ -614,27 +648,26 @@ LAZY_CASES = [*range(12), "complex", "conversion"]
 
 
 class TestLazyBlocks:
-    def test_only_occupied_blocks_are_diagonalized_once(self, monkeypatch):
+    def test_only_occupied_blocks_are_diagonalized_once(self, eigh_calls):
         h = _chain()
-        seen = _counting_eigh(monkeypatch)
         half = basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0))
         evolve_trajectory(half, h, [0.0, 0.5, 1.0])
         # the 70-state half-filled sector alone, of 9 sectors
-        assert [a.shape for a in seen] == [(1, 70, 70)]
+        assert [a.shape for a in eigh_calls] == [(1, 70, 70)]
         sector = np.flatnonzero(h.space.basis_occupations.sum(axis=1) == 4)
-        assert np.array_equal(seen[0][0], h.matrix.real[np.ix_(sector, sector)])
+        assert np.array_equal(eigh_calls[0][0], h.matrix.real[np.ix_(sector, sector)])
         three = basis_state(h.space, (1, 1, 1, 0, 0, 0, 0, 0))
         evolve(three, h, 0.7)
         # one of the two 56-state sectors
-        assert [a.shape for a in seen] == [(1, 70, 70), (1, 56, 56)]
+        assert [a.shape for a in eigh_calls] == [(1, 70, 70), (1, 56, 56)]
         evolve(half, h, 0.3)
         evolve_trajectory(three, h, [0.2, 0.4])
-        assert len(seen) == 2
+        assert len(eigh_calls) == 2
         assert len(h.eigensystem.blocks) == 5  # sizes 1, 8, 28, 56 and 70
         # the rest: the other 56-state sector and every other size but 1
-        assert [a.shape for a in seen[2:]] == [(2, 8, 8), (2, 28, 28), (1, 56, 56)]
+        assert [a.shape for a in eigh_calls[2:]] == [(2, 8, 8), (2, 28, 28), (1, 56, 56)]
         evolve(basis_state(h.space, (1, 1, 1, 1, 1, 0, 0, 0)), h, 0.1)
-        assert len(seen) == 5
+        assert len(eigh_calls) == 5
 
     @pytest.mark.parametrize("case", LAZY_CASES)
     def test_lazy_blocks_equal_blocks_of_a_fresh_spec(self, case):
@@ -671,6 +704,96 @@ class TestLazyBlocks:
                 assert np.all(psi_t[outside] == 0)
                 assert not np.signbit(psi_t[outside].real).any()
                 assert not np.signbit(psi_t[outside].imag).any()
+
+
+    def test_zero_point_trajectories_diagonalize_nothing(self, eigh_calls, tmp_path):
+        h = _chain()
+        half = basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0))
+        embedding = mode_partition_embedding(h.space, ["s0", "s1"])
+        traj = evolve_trajectory(half, h, [], embeddings={"left": embedding},
+                                 charge_kinds=("electric",))
+        assert eigh_calls == []
+        assert traj.amplitudes.shape == (0, h.space.dimension) and traj.states == []
+        for arr in (traj.times, traj.norms, traj.energies,
+                    traj.charge_expectations["electric"], traj.relational_traces["left"]):
+            assert arr.dtype == np.float64 and arr.shape == (0,)
+
+        labels = h.space.mode_labels
+        doc = {
+            "schema": "relfock.scenario/1",
+            "spaces": [{"id": "L", "modes": [
+                {"label": label, "statistics": "fermion", "max_occupation": 1,
+                 "charges": {"electric": -1}} for label in labels]}],
+            "states": [{"name": "half", "space": "L", "kind": "basis",
+                        "occupations": [1, 0, 1, 0, 1, 0, 1, 0]}],
+            "embeddings": [{"name": "left", "reference": "L", "subsystem_modes": ["s0", "s1"]}],
+            "hamiltonians": [{"name": "h", "space": "L", "terms": [
+                {"coefficient": 0.5 + 0.1 * i,
+                 "factors": [["create", labels[i + 1]], ["annihilate", labels[i]]]}
+                for i in range(len(labels) - 1)]}],
+            "tasks": [{"command": "trace-trajectory", "name": "none", "state": "half",
+                       "hamiltonian": "h", "embedding": "left", "charge_kinds": ["electric"],
+                       "times": {"start": 0.0, "stop": 1.0, "num": 0}}],
+        }
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        report = run_scenario(load_scenario(str(path)))
+        assert eigh_calls == []
+        (task,) = report.tasks
+        assert task.status == "ok"
+        result = task.result
+        for name in ("times", "traces", "deficits", "norms", "energies"):
+            assert result[name].dtype == np.float64 and result[name].shape == (0,)
+        (charges,) = result["charge_expectations"].values()
+        assert charges.dtype == np.float64 and charges.shape == (0,)
+
+    def test_unoccupied_block_leaves_trajectory_bit_identical(self):
+        h = _chain()
+        rng = np.random.default_rng(5)
+        # a large dense block on the 3-particle sector the state never enters
+        sector = np.flatnonzero(h.space.basis_occupations.sum(axis=1) == 3)
+        big = rng.normal(scale=1e6, size=(len(sector), len(sector)))
+        big = big + big.T
+        rows, cols = np.repeat(sector, len(sector)), np.tile(sector, len(sector))
+        heavy = HamiltonianSpec(h.space, (), np.concatenate([h.rows, rows]),
+                                np.concatenate([h.cols, cols]),
+                                np.concatenate([h.vals, big.ravel()]))
+        assert len(heavy.vals) > len(h.vals)
+        half = basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0))
+        sector4 = np.flatnonzero(h.space.basis_occupations.sum(axis=1) == 4)
+        amps = np.zeros(h.space.dimension, dtype=np.complex128)
+        amps[sector4] = rng.normal(size=len(sector4)) + 1j * rng.normal(size=len(sector4))
+        spread = StateVector(h.space_id, amps / np.linalg.norm(amps))
+        embeddings = {"left": mode_partition_embedding(h.space, ["s0", "s1"])}
+        for psi0 in (half, spread):
+            plain, loaded = (evolve_trajectory(psi0, spec, TIME_GRIDS[7], embeddings=embeddings,
+                                               charge_kinds=("electric",))
+                             for spec in (h, heavy))
+            assert plain.amplitudes.tobytes() == loaded.amplitudes.tobytes()
+            for name in ("norms", "energies"):
+                assert getattr(plain, name).tobytes() == getattr(loaded, name).tobytes()
+            assert plain.charge_expectations["electric"].tobytes() \
+                == loaded.charge_expectations["electric"].tobytes()
+            assert plain.relational_traces["left"].tobytes() \
+                == loaded.relational_traces["left"].tobytes()
+
+    def test_support_entries_that_stay_zero_match_dense(self):
+        # One particle on three sites with equal hops: (|100> - |001>)/sqrt(2)
+        # is dark, so its middle entry stays 0 while the block is occupied.
+        space = build_fock_space([ModeSpec(f"s{i}", "fermion", 1, {"electric": -1})
+                                  for i in range(3)])
+        h = build_hamiltonian(space, [(0.8, (("create", f"s{i + 1}"), ("annihilate", f"s{i}")))
+                                      for i in range(2)])
+        amps = np.zeros(space.dimension, dtype=np.complex128)
+        amps[space.index_of((1, 0, 0))], amps[space.index_of((0, 0, 1))] = 1, -1
+        dark = StateVector(space.space_id, amps / np.sqrt(2))
+        embeddings = {"left": mode_partition_embedding(space, ["s0"])}
+        traj = evolve_trajectory(dark, h, TIME_GRIDS[7], embeddings=embeddings,
+                                 charge_kinds=("electric",))
+        middle = space.index_of((0, 1, 0))
+        assert np.abs(traj.amplitudes[:, middle]).max() < 1e-15
+        assert np.all(traj.amplitudes[:, [space.index_of((0, 0, 0))]] == 0)
+        _assert_monitors_match_dense(traj, h, embeddings, ("electric",))
 
 
 def _random_triplets(seed, n=12):
@@ -785,10 +908,10 @@ class TestTriplets:
 
         scale = 1e-12 * spectral_norm(h)
         dense = h.matrix
-        assert abs(h.energy(later.amplitudes)
+        assert abs(h.energies(later.amplitudes[None])[0]
                    - np.vdot(later.amplitudes, dense @ later.amplitudes).real) < scale
         for state, energy in zip(traj.states, traj.energies):
             assert abs(energy - np.vdot(state.amplitudes, dense @ state.amplitudes).real) < scale
         evolved, curve = (t.result for t in report.tasks)
-        assert abs(evolved["energy"] - h.energy(later.amplitudes)) < scale
+        assert abs(evolved["energy"] - h.energies(later.amplitudes[None])[0]) < scale
         np.testing.assert_allclose(curve["energies"], traj.energies, rtol=0, atol=scale)

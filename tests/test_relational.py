@@ -212,22 +212,17 @@ class TestPossibleInternalStates:
             possible_internal_states(rho)
         assert str(info.value) == "density operator trace nan exceeds one"
 
-    def test_one_eigensolve_per_spectrum(self, monkeypatch):
+    def test_one_eigensolve_per_spectrum(self, monkeypatch, eigh_calls):
         psi, e = random_pair(321)
         rho = relational_state(psi, e, "A")
         expected = possible_internal_states(rho)
-        eigh, calls = np.linalg.eigh, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
+        eigh_calls.clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("possible_internal_states called eigvalsh")
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         dec = possible_internal_states(rho)
-        assert calls == [rho.matrix.shape]
+        assert [a.shape for a in eigh_calls] == [rho.matrix.shape]
         assert dec.eigenvalues == expected.eigenvalues
         with pytest.raises(ValueError, match="PSD"):
             possible_internal_states(DensityOperator.from_matrix("x", np.diag([0.9, -0.1])))
