@@ -43,6 +43,9 @@ from .hilbert import (
 from .tolerances import Tolerances, resolve
 
 _FACTOR_KINDS = ("create", "annihilate", "number")
+# Triplet products one ``HamiltonianSpec.energies`` chunk holds: 4 MB each of
+# its two complex scratch arrays.
+_ENERGY_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,19 +127,27 @@ class HamiltonianSpec:
         diagonalized on first need."""
         return _sector_eigensystem(self)
 
-    def energies(self, amplitudes: np.ndarray, support=slice(None)) -> np.ndarray:
+    def energies(self, amplitudes: np.ndarray, support: np.ndarray) -> np.ndarray:
         """Re <a|H|a> for each row a of a (T, D) array, as the triplet sum
         Re sum conj(a[r]) v a[c]. Only the triplets inside support are read:
-        pass the basis indices outside of which every row is zero."""
+        pass the basis indices outside of which every row is zero. The rows
+        are taken a chunk of times at a time, so the scratch holds at most
+        _ENERGY_CHUNK triplet products (or one row's) however long the grid."""
         inside = np.zeros(self.space.dimension, dtype=bool)
         inside[support] = True
         keep = inside[self.rows] & inside[self.cols]
-        # take keeps rows contiguous, so each row is summed as one vector
-        products = amplitudes.take(self.cols[keep], axis=1)
-        products *= self.vals[keep]
-        left = amplitudes.take(self.rows[keep], axis=1)
-        products *= np.conjugate(left, out=left)
-        return products.real.sum(axis=1)
+        rows, cols, vals = self.rows[keep], self.cols[keep], self.vals[keep]
+        out = np.empty(len(amplitudes))
+        step = max(1, _ENERGY_CHUNK // max(len(vals), 1))
+        for start in range(0, len(amplitudes), step):
+            chunk = amplitudes[start:start + step]
+            # take keeps rows contiguous, so each row is summed as one vector
+            products = chunk.take(cols, axis=1)
+            products *= vals
+            left = chunk.take(rows, axis=1)
+            products *= np.conjugate(left, out=left)
+            out[start:start + step] = products.real.sum(axis=1)
+        return out
 
 
 def _hermiticity_deviation(h: HamiltonianSpec) -> float:
@@ -374,24 +385,17 @@ def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
     return evolve_trajectory(psi0, h, [t], tol=tol).states[0]
 
 
-@dataclass(frozen=True)
+@dataclass
 class Trajectory:
-    """Recorded evolution: the state at each time as a row of one read-only
-    (T, D) array, plus scalar monitors at each time."""
+    """Recorded evolution: the state at each time, as read-only views of the
+    rows of one (T, D) array, plus scalar monitors at each time."""
 
     times: np.ndarray
-    space_id: str
-    amplitudes: np.ndarray
+    states: list[StateVector]
     norms: np.ndarray
     energies: np.ndarray
     charge_expectations: dict[str, np.ndarray]
     relational_traces: dict[str, np.ndarray]
-
-    @cached_property
-    def states(self) -> list[StateVector]:
-        """The state at each time, as read-only views of the rows of
-        ``amplitudes``, built on first read."""
-        return [StateVector(self.space_id, row) for row in self.amplitudes]
 
     def deficits(self, key: str) -> np.ndarray:
         """Trace deficit 1 - Tr rho for a monitored embedding."""
@@ -409,12 +413,11 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
                       tol: Tolerances | None = None) -> Trajectory:
     """Evolve and record norm, energy, charge expectations and relational
     traces for each registered embedding at every requested time. Each
-    monitor is one array expression over the support columns of the states
-    (a view of every column when the state occupies every block): norms,
-    charges and index-map traces are sums of |a|^2, weighted by the charge
-    or by how many embedded columns each entry carries; energies are the
-    triplet sums inside the support; an explicit isometry V gives its traces
-    from one product conj(a) @ V."""
+    monitor is one array expression over the support columns of the states:
+    norms, charges and index-map traces are sums of |a|^2, weighted by the
+    charge or by how many embedded columns each entry carries; energies are
+    the triplet sums inside the support; an explicit isometry V gives its
+    traces from one product conj(a) @ V."""
     tol = resolve(tol)
     psi0.require_space(h.space_id, h.space.dimension)
     if not psi0.is_normalized(tol):
@@ -432,10 +435,8 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     # Phases w t that overflow make states NaN; the drift check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         amps, support = h.eigensystem.propagate(psi0.amplitudes, times_arr)
-        if len(support) == n:  # every block occupied: a view, not a gathered copy
-            support, occupied = slice(None), amps
-        else:  # take keeps rows contiguous, so each row is summed as one vector
-            occupied = amps.take(support, axis=1)
+        # take keeps rows contiguous, so each row is summed as one vector
+        occupied = amps.take(support, axis=1)
         weights = _abs2(occupied)
         norms = weights.sum(axis=1)
         energies = h.energies(amps, support)
@@ -451,7 +452,8 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     drift = float(np.abs(norms - 1.0).max(initial=0.0))
     if not drift < tol.evolve:  # NaN fails too
         raise ValueError(f"evolution lost unitarity: max norm drift {drift:g}")
-    return Trajectory(times=times_arr, space_id=psi0.space_id, amplitudes=amps, norms=norms,
+    states = [StateVector(psi0.space_id, row) for row in amps]
+    return Trajectory(times=times_arr, states=states, norms=norms,
                       energies=energies, charge_expectations=charges, relational_traces=traces)
 
 

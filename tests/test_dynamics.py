@@ -30,7 +30,7 @@ from relfock import (
     run_scenario,
     trace_deficit_trajectory,
 )
-from relfock.dynamics import SectorEigensystem, _hermiticity_deviation
+from relfock.dynamics import _ENERGY_CHUNK, SectorEigensystem, _hermiticity_deviation
 
 from conftest import mode_matrix, qudit_space, spectral_norm
 
@@ -583,18 +583,44 @@ class TestOnePropagator:
     def test_states_share_one_read_only_buffer(self):
         h, psi0, embeddings, _ = _propagation_case("conversion")
         traj = evolve_trajectory(psi0, h, TIME_GRIDS[7], embeddings=embeddings)
-        assert "states" not in vars(traj)  # built on first read
         buffer = traj.states[0].amplitudes.base
-        assert buffer is traj.amplitudes
         assert buffer is not None and buffer.shape == (7, h.space.dimension)
         assert not buffer.flags.writeable
-        assert traj.states is traj.states
         for i, state in enumerate(traj.states):
             assert state.amplitudes.base is buffer
             assert np.shares_memory(state.amplitudes, buffer[i])
             assert np.array_equal(state.amplitudes, buffer[i])
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 0
+
+    def test_long_time_grid_scratch_stays_order_t_d(self):
+        # Every pair of 8 sites hops: 14 entries of H per row, so a (T, nnz)
+        # scratch would be 28 times the (T, D) states.
+        space = build_fock_space([ModeSpec(f"s{i}", "fermion", 1, {"electric": -1})
+                                  for i in range(8)])
+        h = build_hamiltonian(space, [
+            (0.3 + 0.1 * i + 0.01 * j, (("create", f"s{j}"), ("annihilate", f"s{i}")))
+            for i in range(8) for j in range(i + 1, 8)])
+        assert len(h.vals) == 14 * space.dimension
+        psi0 = random_state_vector(space, 4)
+        embeddings = {"left": mode_partition_embedding(space, ["s0", "s1"])}
+        times = np.linspace(0.0, 5.0, 1000)
+        h.eigensystem.blocks  # diagonalize outside the measurement
+        tracemalloc.start()
+        try:
+            traj = evolve_trajectory(psi0, h, times, embeddings=embeddings,
+                                     charge_kinds=("electric",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states_bytes = 16 * len(times) * space.dimension
+        assert peak < 6 * states_bytes + 2 * 16 * _ENERGY_CHUNK
+        dense, everywhere = h.matrix, np.arange(space.dimension)
+        for i in (0, 499, 999):
+            a = traj.states[i].amplitudes
+            assert abs(traj.energies[i] - np.vdot(a, dense @ a).real) < 1e-12
+            # the chunked sum of a row is that row's sum alone
+            assert traj.energies[i] == h.energies(a[None], everywhere)[0]
 
     def test_evolve_checks_keep_their_messages(self):
         h, psi0, _, _ = _propagation_case("conversion")
@@ -713,7 +739,7 @@ class TestLazyBlocks:
         traj = evolve_trajectory(half, h, [], embeddings={"left": embedding},
                                  charge_kinds=("electric",))
         assert eigh_calls == []
-        assert traj.amplitudes.shape == (0, h.space.dimension) and traj.states == []
+        assert traj.states == []
         for arr in (traj.times, traj.norms, traj.energies,
                     traj.charge_expectations["electric"], traj.relational_traces["left"]):
             assert arr.dtype == np.float64 and arr.shape == (0,)
@@ -769,7 +795,8 @@ class TestLazyBlocks:
             plain, loaded = (evolve_trajectory(psi0, spec, TIME_GRIDS[7], embeddings=embeddings,
                                                charge_kinds=("electric",))
                              for spec in (h, heavy))
-            assert plain.amplitudes.tobytes() == loaded.amplitudes.tobytes()
+            assert [s.amplitudes.tobytes() for s in plain.states] \
+                == [s.amplitudes.tobytes() for s in loaded.states]
             for name in ("norms", "energies"):
                 assert getattr(plain, name).tobytes() == getattr(loaded, name).tobytes()
             assert plain.charge_expectations["electric"].tobytes() \
@@ -790,9 +817,9 @@ class TestLazyBlocks:
         embeddings = {"left": mode_partition_embedding(space, ["s0"])}
         traj = evolve_trajectory(dark, h, TIME_GRIDS[7], embeddings=embeddings,
                                  charge_kinds=("electric",))
-        middle = space.index_of((0, 1, 0))
-        assert np.abs(traj.amplitudes[:, middle]).max() < 1e-15
-        assert np.all(traj.amplitudes[:, [space.index_of((0, 0, 0))]] == 0)
+        amps = np.array([state.amplitudes for state in traj.states])
+        assert np.abs(amps[:, space.index_of((0, 1, 0))]).max() < 1e-15
+        assert np.all(amps[:, space.index_of((0, 0, 0))] == 0)
         _assert_monitors_match_dense(traj, h, embeddings, ("electric",))
 
 
@@ -907,11 +934,11 @@ class TestTriplets:
         assert [t.status for t in report.tasks] == ["ok", "ok"]
 
         scale = 1e-12 * spectral_norm(h)
-        dense = h.matrix
-        assert abs(h.energies(later.amplitudes[None])[0]
+        dense, everywhere = h.matrix, np.arange(h.space.dimension)
+        assert abs(h.energies(later.amplitudes[None], everywhere)[0]
                    - np.vdot(later.amplitudes, dense @ later.amplitudes).real) < scale
         for state, energy in zip(traj.states, traj.energies):
             assert abs(energy - np.vdot(state.amplitudes, dense @ state.amplitudes).real) < scale
         evolved, curve = (t.result for t in report.tasks)
-        assert abs(evolved["energy"] - h.energies(later.amplitudes[None])[0]) < scale
+        assert abs(evolved["energy"] - h.energies(later.amplitudes[None], everywhere)[0]) < scale
         np.testing.assert_allclose(curve["energies"], traj.energies, rtol=0, atol=scale)
