@@ -4,17 +4,23 @@ Hamiltonian terms are products of ladder and number operators. Assembly
 follows each basis column through the ``hilbert.mode_action`` index maps,
 hermitizes each term from those maps, and keeps H as its nonzero entries
 (row, column, value triplets), so no D x D matrix is built or scanned.
-Evolution is the exact matrix exponential through an eigendecomposition per
-conserved block (a connected component of H's nonzero pattern), so norm and
-energy are conserved to solver precision. A state never leaves the blocks it
-occupies, so each block is diagonalized on first need and kept: evolution
-diagonalizes and propagates only the blocks where the state has an exactly
-nonzero amplitude (the support), and leaves every other entry exactly zero.
-``SectorEigensystem.propagate`` is the one propagator: it takes u^dagger psi0
-once per block size and gives the states at all times from one broadcast
-product per block size, as the rows of one array. ``evolve_trajectory``
+Evolution works block by block: a conserved block is a connected component
+of H's nonzero pattern, and a state never leaves the blocks it occupies, so
+only the blocks where the state has an exactly nonzero amplitude (the
+support) are propagated, and every other entry stays exactly zero.
+``SectorEigensystem.propagate`` gives the states at all times as the rows
+of one array, by one of two paths per occupied block:
+- the exact matrix exponential through the block's eigendecomposition,
+  diagonalized on first need and kept, with one broadcast product per
+  block size for all times;
+- a truncated Taylor series with scaling through the block's entries
+  alone, which costs O(nnz) memory and no s^3 solve.
+A fixed cost rule picks the path: a block whose eigenpairs exist always
+uses them; otherwise it goes to Taylor when s^3 > C * nnz * substeps, with
+C measured once (``_TAYLOR_COST``). Both paths conserve the norm to solver
+precision, and the norm-drift check guards both. ``evolve_trajectory``
 computes each monitor as one array expression over the support columns of
-that array, and ``evolve`` is a one-point trajectory.
+the states, and ``evolve`` is a one-point trajectory.
 Coefficients are finite reals and every factor weight is real, so an
 assembled H is real symmetric and its blocks are diagonalized in real
 arithmetic.
@@ -23,6 +29,7 @@ subspace, which is how a relational trace dynamically drops below one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
@@ -113,15 +120,6 @@ class HamiltonianSpec:
         return self.space.space_id
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """H as a dense read-only D x D array, built on first read and kept."""
-        n = self.space.dimension
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[self.rows, self.cols] = self.vals
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def eigensystem(self) -> "SectorEigensystem":
         """The conserved blocks, found on first use; each block is
         diagonalized on first need."""
@@ -167,10 +165,10 @@ class _Blocks:
     """The k conserved blocks of one size s. Row i of idx (k, s) lists the
     basis states of block i in ascending order, and entries holds H's
     nonzero entries inside these blocks as (block, row, column, value) in
-    block-local coordinates. The eigenpairs w (k, s) and u (k, s, s) are
-    allocated when the first block is diagonalized; done marks the blocks
-    they hold. Once every block is done, both turn read-only and the entries
-    are released."""
+    block-local coordinates, each block's entries row-major. The eigenpairs
+    w (k, s) and u (k, s, s) are allocated when the first block is
+    diagonalized; done marks the blocks they hold. Once every block is done,
+    both turn read-only and the entries are released."""
 
     idx: np.ndarray
     entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
@@ -220,9 +218,10 @@ class SectorEigensystem:
     restricted to them is u[i] diag(w[i]) u[i]^dagger.
 
     Each block is diagonalized on first need and kept: ``propagate``
-    diagonalizes the blocks its amplitudes occupy, ``blocks`` the rest, and
-    no block is diagonalized twice. A lock guards the first need, so
-    concurrent use diagonalizes each block once too."""
+    diagonalizes the occupied blocks that ``_taylor_blocks`` does not send
+    to the Taylor propagator, ``blocks`` the rest, and no block is
+    diagonalized twice. A lock guards the first need, so concurrent use
+    diagonalizes each block once too."""
 
     def __init__(self, groups: Sequence[_Blocks]):
         self._groups = tuple(groups)
@@ -240,11 +239,20 @@ class SectorEigensystem:
         """exp(-i H t) amplitudes at each time, as the rows of one read-only
         (T, D) array, and the support: the ascending basis indices of the
         occupied blocks (those with an amplitude that is exactly nonzero).
-        Per block size, the phases at all times form one (T, k, s) array and
-        u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
-        (T, k, 1, s) @ (k, s, s), with u^dagger a computed once. A state
-        never leaves the blocks it occupies, so every entry outside the
-        support is exactly +0. No time, no diagonalization."""
+        A state never leaves the blocks it occupies, so every entry outside
+        the support is exactly +0. No time, no work.
+
+        Each occupied block takes one of two paths:
+        - through its eigenpairs, diagonalizing it first if need be: per
+          block size, the phases at all times form one (T, k, s) array and
+          u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
+          (T, k, 1, s) @ (k, s, s), with u^dagger a computed once;
+        - through its entries alone, by ``_taylor_states``: no s x s array,
+          no lock and nothing kept.
+        The rule (``_taylor_blocks``) reads the block alone: a block whose
+        eigenpairs exist always takes them; any other goes to Taylor when
+        s^3 > _TAYLOR_COST * nnz * substeps, its size cubed against its
+        entry count times the Taylor substeps the times need."""
         times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
         support = [np.zeros(0, dtype=np.int64)]
@@ -253,6 +261,18 @@ class SectorEigensystem:
             occupied = a.any(axis=1)
             if not occupied.any():
                 continue
+            with self._lock:
+                taylor = _taylor_blocks(g, occupied, times)
+                entries = g.entries
+            if len(taylor):
+                for b in taylor:
+                    mine = entries[0] == b
+                    out[:, g.idx[b]] = _taylor_states(*(e[mine] for e in entries[1:]),
+                                                      a[b], times)
+                support.append(g.idx[taylor].ravel())
+                occupied[taylor] = False
+                if not occupied.any():
+                    continue
             if occupied.all():
                 occupied = slice(None)  # views of the whole stack, no copies
             idx, a = g.idx[occupied], a[occupied]
@@ -270,6 +290,90 @@ class SectorEigensystem:
             out[:, idx] = np.matmul(coeffs * phases[:, :, None, :], u.swapaxes(1, 2))[:, :, 0]
         out.flags.writeable = False
         return out, np.sort(np.concatenate(support))
+
+
+# The propagator rule's constant: a block not yet diagonalized goes to Taylor
+# when s^3 > _TAYLOR_COST * nnz * substeps, where s^3 stands for the eigh and
+# nnz * substeps for the Taylor matrix-vector products (up to about 25 per
+# substep, each a gather and a reduceat over the block's nnz entries). Fixed
+# by a sweep of one-block Hamiltonians (2-core host, OpenBLAS, best of 7
+# runs, three sweeps): the eigh path's time for one block and one time
+# against the Taylor time per substep gives the crossover substep count, and
+# C = s^3 / (nnz * crossover). Medians over the three sweeps:
+#   kicked (n two-level modes, n creation terms + h.c. and n number terms):
+#     s = 64: C = 197, 128: 299, 256: 392, 512: 641, 1024: 677, 2048: 832
+#   half-filled fermion hopping chain of L sites:
+#     s = 70: C = 289, 252: 814, 924: 1244
+# 1500 lies above every crossover measured, so a block goes to Taylor only
+# where Taylor won in the sweep; a tie should go to the eigh path, whose
+# eigenpairs serve every later call.
+_TAYLOR_COST = 1500
+
+
+def _substeps(norm1: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Taylor substeps per block (rows) and time interval (columns),
+    ceil(|H_block|_1 |dt| / 2) as floats, so that each substep of length h
+    has |H h|_1 <= 2; inf or NaN where the product is not finite."""
+    return np.ceil(np.multiply.outer(norm1, np.abs(dt)) / 2)
+
+
+def _taylor_blocks(g: _Blocks, occupied: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The propagator rule: the indices of the occupied blocks of g, none of
+    them diagonalized yet, that go to Taylor, that is where it needs at
+    least one substep and s^3 > _TAYLOR_COST * nnz * substeps. The cost
+    stays in floats: where |H|_1 |dt| overflows, the substeps are inf or
+    NaN, both comparisons fail and the block takes the eigenpairs, with no
+    integer conversion on the way. A block with no substep (every time 0)
+    takes the eigenpairs too."""
+    k, s = g.idx.shape
+    # A block of s >= 2 states is connected, so it holds at least 2 (s - 1)
+    # entries, and a single state at most one; Taylor takes at least one
+    # substep. Below this size it never pays.
+    if not len(times) or s ** 3 <= _TAYLOR_COST * max(2 * (s - 1), 1):
+        return np.zeros(0, dtype=np.int64)
+    blocks = np.flatnonzero(occupied & ~g.done)
+    if not len(blocks):
+        return blocks
+    block, _, col, val = g.entries
+    nnz = np.bincount(block, minlength=k)[blocks]
+    # |H_block|_1, the largest column sum of |H|
+    norm1 = np.bincount(block * s + col, np.abs(val), minlength=k * s).reshape(k, s)
+    norm1 = norm1.max(axis=1)[blocks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _substeps(norm1, np.diff(times, prepend=0.0)).sum(axis=1)
+        return blocks[(steps > 0) & (s ** 3 > _TAYLOR_COST * nnz * steps)]
+
+
+def _taylor_states(row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                   a: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) a at each time, as the rows of a (T, s) array, for one
+    block given by its entries alone, sorted by row, every row present.
+    A truncated Taylor series with scaling (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)): from 0 along the times, each interval dt is cut
+    into ``_substeps`` substeps h, and each substep sums the terms
+    (-i H h)^k x / k! until one is at most 2^-53 of the sum (by the largest
+    real or imaginary part). With |H h|_1 <= 2, each term from the third on
+    is at most 2/k of the one before, and a term that is not finite ends
+    the series, so the drift check sees it. H x is one ``np.add.reduceat``
+    over the entries; nothing of size s x s is formed."""
+    norm1 = np.bincount(col, np.abs(val), minlength=len(a)).max()
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    val = val.astype(np.complex128)
+    out = np.empty((len(times), len(a)), dtype=np.complex128)
+    x = a.astype(np.complex128)
+    dts = np.diff(times, prepend=0.0)
+    for i, (dt, m) in enumerate(zip(dts, _substeps(norm1, dts).astype(np.int64))):
+        for _ in range(m):
+            term, x = x, x.copy()
+            for k in itertools.count(1):
+                term = np.add.reduceat(val * term[col], starts)
+                term *= -1j * dt / (m * k)
+                x += term
+                if not np.abs(term.view(np.float64)).max() > \
+                        2.0 ** -53 * np.abs(x.view(np.float64)).max():
+                    break
+        out[i] = x
+    return out
 
 
 def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
@@ -302,7 +406,8 @@ def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
         idx = order[size_in_order == s].reshape(-1, s)
         idx.flags.writeable = False
         # entry (r, c) of block b sits at rank[r] - start = b*s + row and
-        # rank[c] - start = b*s + column
+        # rank[c] - start = b*s + column; the triplets are row-major, and so
+        # are each block's entries
         sel = inside & (size[rows] == s)
         at_row, at_col = rank[rows[sel]] - start, rank[cols[sel]] - start
         entries = (at_row // s, at_row % s, at_col % s, vals[sel])

@@ -30,6 +30,15 @@ def mode_matrix(space: FockSpace, label: str, kind: str) -> np.ndarray:
     return mat
 
 
+def dense_matrix(h) -> np.ndarray:
+    """A Hamiltonian as a dense D x D complex array, scattered from its
+    triplets."""
+    n = h.space.dimension
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[h.rows, h.cols] = h.vals
+    return out
+
+
 def spectral_norm(h) -> float:
     """max |eigenvalue| of a Hamiltonian, from every block of its eigensystem."""
     return float(max(np.abs(w).max() for _, w, _ in h.eigensystem.blocks))

@@ -7,7 +7,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from relfock import (
     Embedding,
@@ -30,9 +33,10 @@ from relfock import (
     run_scenario,
     trace_deficit_trajectory,
 )
+from relfock import dynamics
 from relfock.dynamics import _ENERGY_CHUNK, SectorEigensystem, _hermiticity_deviation
 
-from conftest import mode_matrix, qudit_space, spectral_norm
+from conftest import dense_matrix, mode_matrix, qudit_space, spectral_norm
 
 
 def pair_annihilation_model(g: float = 1.0):
@@ -53,19 +57,19 @@ class TestBuildHamiltonian:
     def test_free_term_is_diagonal(self):
         sp = build_fock_space([ModeSpec("a", "boson", 2)])
         h = free_hamiltonian(sp, {"a": 2.0})
-        np.testing.assert_allclose(h.matrix, np.diag([0.0, 2.0, 4.0]))
+        np.testing.assert_allclose(dense_matrix(h), np.diag([0.0, 2.0, 4.0]))
 
     def test_zero_terms_zero_operator(self):
         sp = qudit_space(3, "a")
         h = build_hamiltonian(sp, [])
-        assert np.all(h.matrix == 0)
+        assert np.all(dense_matrix(h) == 0)
 
     def test_non_self_adjoint_term_gets_adjoint(self):
         sp = build_fock_space([ModeSpec("a", "boson", 1), ModeSpec("b", "boson", 1)])
         h = hopping_hamiltonian(sp, 0.7, "a", "b")
-        dev = np.abs(h.matrix - h.matrix.conj().T).max()
+        dev = np.abs(dense_matrix(h) - dense_matrix(h).conj().T).max()
         assert dev == 0.0
-        assert np.abs(h.matrix).max() > 0
+        assert np.abs(dense_matrix(h)).max() > 0
 
     def test_trilinear_conserves_mode_sum(self):
         # Oracle: numerical commutator with n_a + n_b.
@@ -74,9 +78,9 @@ class TestBuildHamiltonian:
         ])
         h = build_hamiltonian(sp, [(0.9, (("create", "a"), ("annihilate", "b"),
                                           ("annihilate", "c")))])
-        assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12
+        assert np.abs(dense_matrix(h) - dense_matrix(h).conj().T).max() < 1e-12
         conserved = mode_matrix(sp, "a", "number") + mode_matrix(sp, "b", "number")
-        comm = h.matrix @ conserved - conserved @ h.matrix
+        comm = dense_matrix(h) @ conserved - conserved @ dense_matrix(h)
         assert np.abs(comm).max() < 1e-12
 
     def test_complex_coefficient_rejected(self):
@@ -177,7 +181,7 @@ class TestTrajectories:
             expect = traj.charge_expectations[kind]
             scale = max(1.0, np.abs(q).max())
             # the Hamiltonian commutes with both charges
-            comm = h.matrix @ q - q @ h.matrix
+            comm = dense_matrix(h) @ q - q @ dense_matrix(h)
             assert np.abs(comm).max() < 1e-12
             assert np.abs(expect - expect[0]).max() < 1e-9 * scale
 
@@ -282,7 +286,7 @@ class TestKroneckerOracle:
     @pytest.mark.parametrize("seed", range(60))
     def test_hamiltonian_bitwise_equal(self, seed):
         space, terms = _random_terms(seed)
-        assert np.array_equal(build_hamiltonian(space, terms).matrix,
+        assert np.array_equal(dense_matrix(build_hamiltonian(space, terms)),
                               _kron_hamiltonian(space, terms))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -290,12 +294,12 @@ class TestKroneckerOracle:
         space, terms = _random_terms(seed)
         coefficient = float(np.random.Generator(np.random.PCG64(seed)).normal())
         alone = [(coefficient, ())]
-        assert np.array_equal(build_hamiltonian(space, alone).matrix,
+        assert np.array_equal(dense_matrix(build_hamiltonian(space, alone)),
                               coefficient * np.eye(space.dimension))
-        assert np.array_equal(build_hamiltonian(space, alone).matrix,
+        assert np.array_equal(dense_matrix(build_hamiltonian(space, alone)),
                               _kron_hamiltonian(space, alone))
         mixed = terms[:1] + alone + terms[1:]
-        assert np.array_equal(build_hamiltonian(space, mixed).matrix,
+        assert np.array_equal(dense_matrix(build_hamiltonian(space, mixed)),
                               _kron_hamiltonian(space, mixed))
 
     @pytest.mark.parametrize("seed", range(60))
@@ -319,7 +323,7 @@ class TestSectorEigensystem:
     def test_blocks_are_connected_components(self, seed):
         space, terms = _random_terms(seed)
         h = build_hamiltonian(space, terms)
-        count, labels = connected_components(h.matrix != 0, directed=False)
+        count, labels = connected_components(dense_matrix(h) != 0, directed=False)
         expected = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
         blocks = _block_sets(h)
         assert len(blocks) == count and set(blocks) == expected
@@ -329,7 +333,7 @@ class TestSectorEigensystem:
         space, terms = _random_terms(seed)
         h = build_hamiltonian(space, terms)
         psi = random_state_vector(space, seed)
-        w, u = np.linalg.eigh(h.matrix)
+        w, u = np.linalg.eigh(dense_matrix(h))
         times = [0.0, 0.37, 1.9]
         traj = evolve_trajectory(psi, h, times)
         for t, state in zip(times, traj.states):
@@ -348,7 +352,7 @@ class TestSectorEigensystem:
         blocks = h.eigensystem.blocks
         assert all(a.dtype == np.float64 for a in eigh_calls)
         monkeypatch.undo()
-        w = np.linalg.eigh(h.matrix)[0]
+        w = np.linalg.eigh(dense_matrix(h))[0]
         blocks_w = np.sort(np.concatenate([bw.ravel() for _, bw, _ in blocks]))
         norm = np.abs(w).max(initial=0.0)
         assert np.abs(blocks_w - w).max() <= 1e-12 * norm
@@ -369,7 +373,7 @@ class TestSectorEigensystem:
         assert eigh_calls and all(a.dtype == np.complex128 for a in eigh_calls)
         monkeypatch.undo()
         psi = random_state_vector(space, seed)
-        w, u = np.linalg.eigh(h.matrix)
+        w, u = np.linalg.eigh(dense_matrix(h))
         expected = u @ (np.exp(-0.8j * w) * (u.conj().T @ psi.amplitudes))
         np.testing.assert_allclose(evolve(psi, h, 0.8).amplitudes, expected, rtol=0, atol=1e-12)
 
@@ -404,7 +408,7 @@ class TestSectorEigensystem:
         assert "matrix" not in vars(h)  # evolution builds no dense complex H
         assert len(eigh_calls) == 1
         assert eigh_calls[0].dtype == np.float64 and eigh_calls[0].shape == (1, 16, 16)
-        assert eigh_calls[0][0].tobytes() == np.ascontiguousarray(h.matrix.real).tobytes()
+        assert eigh_calls[0][0].tobytes() == np.ascontiguousarray(dense_matrix(h).real).tobytes()
         assert np.array_equal(idx, np.arange(space.dimension)[None])
         assert w.shape == (1, 16) and u.shape == (1, 16, 16) and u.dtype == np.complex128
 
@@ -503,7 +507,7 @@ def _propagation_case(case):
 def _assert_monitors_match_dense(traj, h, embeddings, kinds):
     """Every monitor of traj against the dense quantities of each state:
     <a|a>, <a|H|a> with the dense H, <a|q|a> and |V^dagger a|^2."""
-    dense = h.matrix
+    dense = dense_matrix(h)
     for i, state in enumerate(traj.states):
         a = state.amplitudes
         assert abs(traj.norms[i] - np.vdot(a, a).real) < 1e-12
@@ -615,7 +619,7 @@ class TestOnePropagator:
             tracemalloc.stop()
         states_bytes = 16 * len(times) * space.dimension
         assert peak < 6 * states_bytes + 2 * 16 * _ENERGY_CHUNK
-        dense, everywhere = h.matrix, np.arange(space.dimension)
+        dense, everywhere = dense_matrix(h), np.arange(space.dimension)
         for i in (0, 499, 999):
             a = traj.states[i].amplitudes
             assert abs(traj.energies[i] - np.vdot(a, dense @ a).real) < 1e-12
@@ -681,7 +685,7 @@ class TestLazyBlocks:
         # the 70-state half-filled sector alone, of 9 sectors
         assert [a.shape for a in eigh_calls] == [(1, 70, 70)]
         sector = np.flatnonzero(h.space.basis_occupations.sum(axis=1) == 4)
-        assert np.array_equal(eigh_calls[0][0], h.matrix.real[np.ix_(sector, sector)])
+        assert np.array_equal(eigh_calls[0][0], dense_matrix(h).real[np.ix_(sector, sector)])
         three = basis_state(h.space, (1, 1, 1, 0, 0, 0, 0, 0))
         evolve(three, h, 0.7)
         # one of the two 56-state sectors
@@ -714,7 +718,7 @@ class TestLazyBlocks:
     @pytest.mark.parametrize("case", LAZY_CASES)
     def test_sparse_support_propagation(self, case, kind):
         reference = _propagation_case(case)[0]
-        w, u = np.linalg.eigh(reference.matrix)
+        w, u = np.linalg.eigh(dense_matrix(reference))
         rng = np.random.default_rng(11)
         times = TIME_GRIDS[7]
         for _ in range(3):
@@ -851,11 +855,11 @@ class TestTriplets:
         dense = np.zeros((12, 12), dtype=np.complex128)
         for r, c, v in zip(rows, cols, vals):
             dense[r, c] += v
-        assert np.array_equal(h.matrix, dense)
+        assert np.array_equal(dense_matrix(h), dense)
         keys = h.rows * 12 + h.cols
         assert np.all(np.diff(keys) > 0) and np.all(h.vals != 0)
         assert len(keys) == np.count_nonzero(dense)
-        for arr in (h.rows, h.cols, h.vals, h.matrix):
+        for arr in (h.rows, h.cols, h.vals):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("rows, cols, vals", [
@@ -869,7 +873,7 @@ class TestTriplets:
     @pytest.mark.parametrize("seed", range(40))
     def test_hermiticity_deviation_matches_dense(self, seed):
         h = HamiltonianSpec(qudit_space(12, "a"), (), *_random_triplets(seed))
-        dense = float(np.abs(h.matrix - h.matrix.conj().T).max())
+        dense = float(np.abs(dense_matrix(h) - dense_matrix(h).conj().T).max())
         assert _hermiticity_deviation(h) == dense
         # repeated positions sum in different orders on the two sides
         assert dense < 1e-14 if seed % 4 == 0 else dense > 1e-6
@@ -886,8 +890,8 @@ class TestTriplets:
         hop = (("create", "m0"), ("annihilate", "m1"))
         h = build_hamiltonian(sp, [(0.5, hop), (0.3, (("number", "m2"),)), (-0.5, hop),
                                    (0.2, (("create", "m2"), ("annihilate", "m1")))])
-        assert len(h.vals) == np.count_nonzero(h.matrix)
-        count, labels = connected_components(h.matrix != 0, directed=False)
+        assert len(h.vals) == np.count_nonzero(dense_matrix(h))
+        count, labels = connected_components(dense_matrix(h) != 0, directed=False)
         expected = {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
         blocks = _block_sets(h)
         assert len(blocks) == count and set(blocks) == expected
@@ -934,7 +938,7 @@ class TestTriplets:
         assert [t.status for t in report.tasks] == ["ok", "ok"]
 
         scale = 1e-12 * spectral_norm(h)
-        dense, everywhere = h.matrix, np.arange(h.space.dimension)
+        dense, everywhere = dense_matrix(h), np.arange(h.space.dimension)
         assert abs(h.energies(later.amplitudes[None], everywhere)[0]
                    - np.vdot(later.amplitudes, dense @ later.amplitudes).real) < scale
         for state, energy in zip(traj.states, traj.energies):
@@ -942,3 +946,180 @@ class TestTriplets:
         evolved, curve = (t.result for t in report.tasks)
         assert abs(evolved["energy"] - h.energies(later.amplitudes[None], everywhere)[0]) < scale
         np.testing.assert_allclose(curve["energies"], traj.energies, rtol=0, atol=scale)
+
+
+def _one_block(seed, s, complex_vals):
+    """A random Hermitian H on an s-state space whose nonzero pattern is one
+    block: a hopping chain through every state plus 3 s random entries, real
+    or complex."""
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((s, s), dtype=np.complex128)
+    chain = np.arange(s - 1)
+    mat[chain, chain + 1] = rng.uniform(0.5, 1.5, s - 1)
+    at = rng.integers(s, size=(2, 3 * s))
+    mat[at[0], at[1]] += rng.normal(size=3 * s) + 1j * complex_vals * rng.normal(size=3 * s)
+    mat += mat.conj().T
+    rows, cols = np.nonzero(mat)
+    return HamiltonianSpec(qudit_space(s, "a", f"one-block-{seed}"), (),
+                           rows, cols, mat[rows, cols])
+
+
+def _kicked(modes, scale=1.0):
+    """One block spanning 2^modes states: a creation term (+ h.c.) and a
+    number term on every two-level mode, as in the benchmark's dense case."""
+    space = build_fock_space([ModeSpec(f"q{i}", "boson", 1) for i in range(modes)])
+    return build_hamiltonian(space, [(scale * (0.3 + 0.05 * i), (("create", f"q{i}"),))
+                                     for i in range(modes)]
+                             + [(scale * (0.6 + 0.1 * i), (("number", f"q{i}"),))
+                                for i in range(modes)])
+
+
+@pytest.fixture
+def taylor_calls(monkeypatch):
+    """The block size of every Taylor propagation the test makes, in call
+    order."""
+    seen, taylor = [], dynamics._taylor_states
+
+    def counting(row, col, val, a, times):
+        seen.append(len(a))
+        return taylor(row, col, val, a, times)
+    monkeypatch.setattr(dynamics, "_taylor_states", counting)
+    return seen
+
+
+TAYLOR_GRIDS = {"uneven": [0.0, 0.05, 0.37, 0.4, 1.9, 3.0],
+                "descending": [3.0, 1.0, 1.0, -0.5, -2.0]}
+
+
+class TestTaylorPath:
+    @pytest.mark.parametrize("grid", sorted(TAYLOR_GRIDS))
+    @pytest.mark.parametrize("complex_vals", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_block_matches_expm(self, monkeypatch, eigh_calls, taylor_calls,
+                                    seed, complex_vals, grid):
+        monkeypatch.setattr(dynamics, "_TAYLOR_COST", 0.0)  # every block to Taylor
+        s = 16 + 16 * seed
+        h = _one_block(seed, s, complex_vals)
+        assert bool(h.vals.imag.any()) == complex_vals
+        psi = random_state_vector(h.space, seed)
+        times = TAYLOR_GRIDS[grid]
+        traj = evolve_trajectory(psi, h, times)
+        assert taylor_calls == [s] and eigh_calls == []
+        dense = dense_matrix(h)
+        for t, state in zip(times, traj.states):
+            np.testing.assert_allclose(state.amplitudes, expm(-1j * t * dense) @ psi.amplitudes,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.amplitudes,
+                                       expm_multiply(-1j * t * csr_matrix(dense), psi.amplitudes),
+                                       rtol=0, atol=1e-12)
+        assert np.abs(traj.norms - 1.0).max() < 1e-13
+
+    def test_partial_support_mixes_paths_and_keeps_nothing(self, monkeypatch, eigh_calls,
+                                                           taylor_calls):
+        h = _chain()
+        monkeypatch.setattr(dynamics, "_TAYLOR_COST", 0.0)
+        occupations = h.space.basis_occupations.sum(axis=1)
+        # no substep at t = 0: the half-filled sector goes through eigh
+        evolve(basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0)), h, 0.0)
+        assert [a.shape for a in eigh_calls] == [(1, 70, 70)]
+        rng = np.random.default_rng(2)
+        support = np.isin(occupations, [3, 4])
+        amps = np.zeros(h.space.dimension, dtype=np.complex128)
+        amps[support] = rng.normal(size=support.sum()) + 1j * rng.normal(size=support.sum())
+        psi = StateVector(h.space_id, amps / np.linalg.norm(amps))
+        times = TAYLOR_GRIDS["uneven"]
+        traj = evolve_trajectory(psi, h, times)
+        # the 70-state sector keeps its eigenpairs; the occupied 56-state
+        # sector goes to Taylor
+        assert len(eigh_calls) == 1 and taylor_calls == [56]
+        dense = dense_matrix(h)
+        for t, state in zip(times, traj.states):
+            a = state.amplitudes
+            np.testing.assert_allclose(a, expm(-1j * t * dense) @ psi.amplitudes,
+                                       rtol=0, atol=1e-12)
+            assert np.all(a[~support] == 0)
+            assert not np.signbit(a[~support].real).any()
+            assert not np.signbit(a[~support].imag).any()
+        # Taylor kept nothing: both 56-state sectors are still to diagonalize
+        h.eigensystem.blocks
+        assert (2, 56, 56) in [a.shape for a in eigh_calls[1:]]
+
+    def test_rule_keeps_bundled_and_dynamics_sized_blocks_on_eigh(self, eigh_calls,
+                                                                   taylor_calls):
+        for name in ("annihilation", "bell", "product"):
+            path = resources.files("relfock") / "scenarios" / f"{name}.json"
+            report = run_scenario(load_scenario(str(path)))
+            assert all(t.status == "ok" for t in report.tasks)
+        # the stacked block solves (the spectrum tasks' eigh calls are 2-d)
+        assert taylor_calls == [] and [a.shape for a in eigh_calls if a.ndim == 3] == [(1, 2, 2)]
+        eigh_calls.clear()
+        # the benchmark's dynamics case: a 10-mode conversion model and a
+        # half-filled 10-site chain, a trajectory then an evolve on each
+        modes = [ModeSpec("e-", "fermion", 1), ModeSpec("e+", "fermion", 1),
+                 ModeSpec("photon", "boson", 1)] + \
+            [ModeSpec(f"x{i}", "fermion" if i % 2 else "boson", 1) for i in range(7)]
+        conversion = conversion_hamiltonian(build_fock_space(modes), 1.0,
+                                            ["photon"], ["e-", "e+"])
+        pair = basis_state(conversion.space, (1, 1, 0, 1, 0, 0, 1, 1, 0, 1))
+        evolve_trajectory(pair, conversion, np.linspace(0.0, 3.0, 50))
+        evolve(pair, conversion, 0.2)
+        chain = _chain(10)
+        half = basis_state(chain.space, (1, 0, 1, 1, 0, 0, 1, 0, 1, 0))
+        evolve_trajectory(half, chain, np.linspace(0.0, 4.0, 20))
+        evolve(half, chain, 0.5)
+        assert taylor_calls == [] and [a.shape for a in eigh_calls] == [(1, 2, 2), (1, 252, 252)]
+
+    def test_diagonalized_block_is_not_repropagated_by_taylor(self, eigh_calls, taylor_calls):
+        h = _kicked(8)
+        psi = random_state_vector(h.space, 4)
+        # one short time: 256^3 against 1500 x 2303 entries x 1 substep
+        first = evolve(psi, h, 0.1)
+        assert taylor_calls == [256] and eigh_calls == []
+        h.eigensystem.blocks
+        assert [a.shape for a in eigh_calls] == [(1, 256, 256)]
+        again = evolve(psi, h, 0.1)
+        evolve_trajectory(psi, h, [0.1, 0.2])
+        assert taylor_calls == [256] and len(eigh_calls) == 1
+        np.testing.assert_allclose(again.amplitudes, first.amplitudes, rtol=0, atol=1e-12)
+
+    def test_non_finite_cost_selects_eigh(self, eigh_calls, taylor_calls):
+        h = _kicked(8, scale=1e300)
+        psi = random_state_vector(h.space, 4)
+        # |H|_1 t overflows: eigh, whose phases overflow, and the drift check
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"^evolution lost unitarity: max norm drift nan$"):
+            evolve(psi, h, 1e10)
+        assert taylor_calls == [] and len(eigh_calls) == 1
+        # a finite but huge substep count (5e10) prices Taylor out too
+        assert evolve(psi, _kicked(8, scale=1e300), 1e-290).is_normalized()
+        assert taylor_calls == [] and len(eigh_calls) == 2
+
+    def test_large_block_propagates_in_o_nnz_memory(self, eigh_calls, taylor_calls):
+        space = build_fock_space([ModeSpec(f"f{i}", "fermion", 1) for i in range(11)])
+        terms = [(0.2 + 0.03 * i, (("create", f"f{i}"),)) for i in range(11)]
+        terms += [(0.5 + 0.1 * i, (("number", f"f{i}"),)) for i in range(11)]
+        terms += [(0.7, (("create", f"f{i + 1}"), ("annihilate", f"f{i}"))) for i in range(10)]
+        h = build_hamiltonian(space, terms)
+        assert 30_000 < len(h.vals) < 40_000
+        psi = random_state_vector(space, 11)
+        times = np.linspace(0.0, 2.0, 20)
+        tracemalloc.start()
+        try:
+            amps, _ = h.eigensystem.propagate(psi.amplitudes, times)
+            propagated = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            traj = evolve_trajectory(psi, h, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taylor_calls == [2048, 2048] and eigh_calls == []
+        assert np.array_equal([state.amplitudes for state in traj.states], amps)
+        # The propagation, with the block search, is O(nnz + T D); the
+        # trajectory adds its monitors, the energy sum's fixed chunk among them.
+        ss_bytes = 8 * 2048 ** 2  # one s x s float64 array, 32 MiB
+        assert propagated < ss_bytes / 4 and peak < ss_bytes
+        assert np.abs(traj.norms - 1.0).max() < 1e-13
+        sparse = csr_matrix((h.vals, (h.rows, h.cols)), shape=(2048, 2048))
+        np.testing.assert_allclose(traj.states[-1].amplitudes,
+                                   expm_multiply(-1j * times[-1] * sparse, psi.amplitudes),
+                                   rtol=0, atol=1e-12)
