@@ -8,8 +8,6 @@ outcome), Schmidt decompositions with an orthogonal residual, joint outcome
 distributions over disjoint subsystems, charge-sector superselection checks,
 and exact unitary dynamics, all at dense desk scale.
 """
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .composition import (
@@ -43,7 +41,6 @@ from .hilbert import (
     Embedding,
     EmbeddingValidation,
     FockSpace,
-    ImageProjection,
     ModePartition,
     ModeSpec,
     StateVector,
@@ -54,7 +51,6 @@ from .hilbert import (
     embedding_from_isometry,
     identity_embedding,
     mode_partition_embedding,
-    project_onto_image,
     random_isometry_embedding,
     random_state_vector,
     state_from_amplitudes,
@@ -63,13 +59,9 @@ from .hilbert import (
 )
 from .relational import (
     DensityOperator,
-    IndependenceReport,
-    SampleOutcome,
     SpectralDecomposition,
-    check_isolated_independence,
     possible_internal_states,
     relational_state,
-    sample_internal_state,
     sample_internal_states,
 )
 from .report import Report
@@ -96,13 +88,10 @@ __all__ = [
     "FockSpace",
     "HamiltonianSpec",
     "HamiltonianTerm",
-    "ImageProjection",
-    "IndependenceReport",
     "JointDistribution",
     "ModePartition",
     "ModeSpec",
     "Report",
-    "SampleOutcome",
     "Scenario",
     "ScenarioError",
     "SchmidtDecomposition",
@@ -120,7 +109,6 @@ __all__ = [
     "build_hamiltonian",
     "charge_values",
     "check_embedding_charge_compatibility",
-    "check_isolated_independence",
     "check_superselection",
     "compose_embeddings",
     "conversion_hamiltonian",
@@ -135,13 +123,11 @@ __all__ = [
     "load_scenario",
     "mode_partition_embedding",
     "possible_internal_states",
-    "project_onto_image",
     "random_isometry_embedding",
     "random_state_vector",
     "regroup_embedding",
     "relational_state",
     "run_scenario",
-    "sample_internal_state",
     "sample_internal_states",
     "schmidt_decompose",
     "sector_decomposition",

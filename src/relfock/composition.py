@@ -246,10 +246,6 @@ class JointDistribution:
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
 
-    @property
-    def party_count(self) -> int:
-        return len(self.subsystem_ids)
-
     def clamped_probabilities(self) -> np.ndarray:
         """Entries clamped into [0, 1] for reporting."""
         return np.clip(self.probabilities, 0.0, 1.0)

@@ -15,8 +15,9 @@ composition or regrouping of mode partitions, an identity embedding -- is its
 column -> row index map: pulling a state back is a gather of one amplitude per
 column and validity is read off the rows, in O(dim) time and memory, with no
 dim(R) x dim(A)*dim(B) matrix. Any other map (an explicit isometry) is that
-dense matrix. Only this module reads the form; other modules go through
-pull_back, push_forward, permute_columns and column_charges.
+dense matrix. Other modules go through pull_back, push_forward, permute_columns
+and column_charges; only dynamics.evolve_trajectory and
+superselection._column_sectors read the form themselves.
 
 Index conventions, used everywhere without exception:
   * basis states are occupation tuples enumerated lexicographically, first
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -438,11 +439,6 @@ def index_map_deviation(rows: np.ndarray) -> float:
     return 0.0 if rows.min() >= 0 and np.unique(rows).size == rows.size else 1.0
 
 
-class ImageProjection(NamedTuple):
-    component: np.ndarray  # V^dagger psi, in A (x) B coordinates
-    deficiency: float      # |psi|^2 - |V^dagger psi|^2, clamped at zero
-
-
 def pull_back(psi_R: StateVector, e: Embedding) -> np.ndarray:
     """V^dagger psi as a (dim A, dim B) matrix: the coordinates of a reference
     state on the embedded product basis |a> (x) |b>."""
@@ -493,20 +489,6 @@ def column_charges(e: Embedding, kind: str) -> np.ndarray | None:
         return None
     values = charge_values(e.reference, kind)
     return np.where(e.rows >= 0, values[e.rows], values.min())
-
-
-def project_onto_image(psi_R: StateVector, e: Embedding,
-                       tol: Tolerances | None = None) -> ImageProjection:
-    """Split a reference-space vector into its A (x) B component and the weight
-    lying outside the image."""
-    tol = resolve(tol)
-    component = pull_back(psi_R, e).reshape(-1)
-    deficiency = psi_R.norm_sq - float(np.vdot(component, component).real)
-    if deficiency < -tol.norm:
-        raise ValueError(
-            f"projection gained weight ({deficiency:g}); the embedding is not an isometry"
-        )
-    return ImageProjection(component=component, deficiency=max(0.0, deficiency))
 
 
 def identity_embedding(space_a: FockSpace, space_b: FockSpace,

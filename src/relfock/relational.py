@@ -44,10 +44,6 @@ class DensityOperator:
         trace = float(np.trace(np.asarray(matrix)).real)
         return cls(space_id=space_id, matrix=matrix, trace=trace, trace_deficit=1.0 - trace)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 Factor = Literal["A", "B"]
 
@@ -159,10 +155,7 @@ def _deterministic_group_basis(vectors: np.ndarray) -> np.ndarray:
             basis.append(cand / nrm)
         if len(basis) == k:
             break
-    if len(basis) < k:
-        # Projector columns were too collinear to span the space; keep the
-        # solver's vectors (still deterministic for identical input).
-        basis = [vectors[:, j] for j in range(k)]
+    # Never short of k: residual squared norms sum to k - len(basis) >= 1, so one is >= 1/dim.
     fixed = [b * _pivot_phase(b) for b in basis]
     fixed.sort(key=lambda v: int(np.argmax(np.abs(v))))
     return np.stack(fixed, axis=1)
@@ -210,23 +203,6 @@ def possible_internal_states(rho: DensityOperator,
     )
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
-    """One realized internal state: either an eigenvector index or the
-    annihilation outcome."""
-
-    annihilated: bool
-    index: int | None
-
-    @classmethod
-    def state(cls, index: int) -> "SampleOutcome":
-        return cls(annihilated=False, index=index)
-
-    @classmethod
-    def annihilation(cls) -> "SampleOutcome":
-        return cls(annihilated=True, index=None)
-
-
 def sample_internal_states(dec: SpectralDecomposition, count: int, seed: int) -> np.ndarray:
     """Draw realized internal states; returns an int array where values
     0..outcome_count-1 are eigenvector indices and outcome_count means
@@ -250,58 +226,3 @@ def sample_internal_states(dec: SpectralDecomposition, count: int, seed: int) ->
     if last < 0:
         raise ValueError("decomposition has no outcomes to sample")
     return np.minimum(idx, last).astype(np.int64)
-
-
-def sample_internal_state(dec: SpectralDecomposition, seed: int) -> SampleOutcome:
-    """Draw a single realized internal state (State(j) with probability equal
-    to its eigenvalue, Annihilated with the leftover probability)."""
-    idx = int(sample_internal_states(dec, 1, seed)[0])
-    if idx == len(dec.eigenvalues):
-        return SampleOutcome.annihilation()
-    return SampleOutcome.state(idx)
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Result of checking that an isolated factor's relational state equals
-    its own internal state."""
-
-    applicable: bool
-    passed: bool
-    max_deviation: float
-    trace_deficit: float
-    entanglement_weight: float
-    note: str
-
-
-def check_isolated_independence(psi_R: StateVector, e: Embedding,
-                                tol: Tolerances | None = None) -> IndependenceReport:
-    """If the pulled-back state factorizes (subsystem relational state is rank
-    one with negligible trace deficit), verify that the reduced state equals
-    the projector onto the factor extracted independently by SVD."""
-    tol = resolve(tol)
-    phi = pull_back(psi_R, e)
-    rho = _reduce(psi_R, phi, e.subsystem_id, tol)
-    eigs = np.linalg.eigvalsh(rho.matrix)[::-1]
-    secondary = float(eigs[1]) if len(eigs) > 1 else 0.0
-    if secondary >= tol.zero_eig:
-        return IndependenceReport(
-            applicable=False, passed=False, max_deviation=float("nan"),
-            trace_deficit=rho.trace_deficit, entanglement_weight=secondary,
-            note="not applicable: state entangled",
-        )
-    if rho.trace_deficit >= tol.norm:
-        return IndependenceReport(
-            applicable=False, passed=False, max_deviation=float("nan"),
-            trace_deficit=rho.trace_deficit, entanglement_weight=secondary,
-            note=f"not applicable: trace deficit {rho.trace_deficit:g}",
-        )
-    u, _, _ = np.linalg.svd(phi)
-    psi_a = u[:, 0]
-    dev = float(np.abs(rho.matrix - np.outer(psi_a, psi_a.conj())).max())
-    passed = dev < tol.herm
-    return IndependenceReport(
-        applicable=True, passed=passed, max_deviation=dev,
-        trace_deficit=rho.trace_deficit, entanglement_weight=secondary,
-        note="factorized" if passed else "factorized but reduced state deviates",
-    )

@@ -628,7 +628,13 @@ class TestToleranceOverrides:
 
 
 def test_public_names_resolve():
+    import types
+
     import relfock
 
     missing = [name for name in relfock.__all__ if not hasattr(relfock, name)]
     assert missing == []
+    assert len(set(relfock.__all__)) == len(relfock.__all__)
+    public = {name for name, value in vars(relfock).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - set(relfock.__all__)) == []

@@ -27,7 +27,6 @@ from relfock import (
     identity_embedding,
     load_scenario,
     mode_partition_embedding,
-    project_onto_image,
     random_isometry_embedding,
     random_state_vector,
     regroup_embedding,
@@ -300,11 +299,9 @@ class TestEmbeddings:
         assert validate_embedding(e).passed
         # image holds exactly the c=0 block
         psi_in = basis_state(sp, (1, 0, 0))
-        comp, deficiency = project_onto_image(psi_in, e)
-        assert deficiency == pytest.approx(0.0, abs=1e-12)
+        assert relational_state(psi_in, e).trace_deficit == pytest.approx(0.0, abs=1e-12)
         psi_out = basis_state(sp, (0, 0, 1))
-        comp, deficiency = project_onto_image(psi_out, e)
-        assert deficiency == pytest.approx(1.0)
+        assert relational_state(psi_out, e).trace_deficit == pytest.approx(1.0)
 
     def test_writable_isometry_is_copied(self):
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
@@ -547,20 +544,15 @@ class TestIndexMapOracle:
             assert _same_bits(pull_back(psi, e), pull_back(psi, twin))
             phi = pull_back(psi, e).reshape(-1)
             assert _same_or_close(report.passed, push_forward(phi, e), push_forward(phi, twin))
-            (err, got), (dense_err, want) = (_outcome(project_onto_image, psi, x)
-                                             for x in (e, twin))
-            assert err == dense_err
-            if err is None:
-                assert _same_bits(got.component, want.component)
-                assert got.deficiency == want.deficiency
             dec, ref_dec = schmidt_decompose(psi, e), schmidt_decompose(psi, twin)
             assert _same_or_close(report.passed, dec.residual.amplitudes,
                                   ref_dec.residual.amplitudes)
             assert _same_or_close(report.passed, dec.residual_norm_sq, ref_dec.residual_norm_sq)
             assert dec.coefficients == ref_dec.coefficients
             for factor in ("A", "B"):
-                assert _same_bits(relational_state(psi, e, factor).matrix,
-                                  relational_state(psi, twin, factor).matrix)
+                rho, dense_rho = (relational_state(psi, x, factor) for x in (e, twin))
+                assert _same_bits(rho.matrix, dense_rho.matrix)
+                assert rho.trace_deficit == dense_rho.trace_deficit
             for kind in ("electric", "lepton"):
                 got, want = (_outcome(check_superselection, psi, x, kind) for x in (e, twin))
                 assert got == want
@@ -592,7 +584,9 @@ class TestIndexMapOracle:
         assert np.allclose(pushed, push_forward(phi, twin), rtol=0.0, atol=1e-12)
         # Columns (a=0, a=1) and (a=1, a=0) share the row a=1: their amplitudes add.
         assert pushed[ref.index_of((1, 0))] == phi[1] + phi[2]
-        assert _outcome(project_onto_image, psi, e) == _outcome(project_onto_image, psi, twin)
+        rho, dense_rho = (relational_state(psi, x) for x in (e, twin))
+        assert _same_bits(rho.matrix, dense_rho.matrix)
+        assert rho.trace_deficit == dense_rho.trace_deficit
 
 
 class TestIndexMapEmbedding:
@@ -702,20 +696,21 @@ def test_mode_partition_scenario_builds_no_dense_selection_matrix(tmp_path, monk
 
 
 class TestProjectOntoImage:
+    """A reference state splits into its image component V^dagger psi
+    (pull_back) and the weight outside the image (the trace deficit)."""
+
     def test_state_inside_image(self):
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
         e = identity_embedding(a, b)
         psi = random_state_vector(e.reference, 7)
-        comp, deficiency = project_onto_image(psi, e)
-        assert deficiency == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(comp, psi.amplitudes)
+        assert relational_state(psi, e).trace_deficit == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(pull_back(psi, e).reshape(-1), psi.amplitudes)
 
     def test_orthogonal_state(self):
         sp = build_fock_space([ModeSpec("a"), ModeSpec("c")], "R")
         e = mode_partition_embedding(sp, ["a"], frozen={"c": 0})
         psi = basis_state(sp, (0, 1))
-        _, deficiency = project_onto_image(psi, e)
-        assert deficiency == pytest.approx(1.0)
+        assert relational_state(psi, e).trace_deficit == pytest.approx(1.0)
 
     def test_mixed_state_against_projector_oracle(self):
         # Oracle: deficiency computed from the dense projector V V^dagger.
@@ -732,7 +727,7 @@ class TestProjectOntoImage:
         mixed = StateVector(psi.space_id, np.sqrt(0.7) * inside + np.sqrt(0.3) * outside)
         proj = e.isometry @ e.isometry.conj().T
         expected = mixed.norm_sq - float(np.vdot(mixed.amplitudes, proj @ mixed.amplitudes).real)
-        _, deficiency = project_onto_image(mixed, e)
+        deficiency = relational_state(mixed, e).trace_deficit
         assert deficiency == pytest.approx(expected, abs=1e-12)
         assert deficiency == pytest.approx(0.3, abs=1e-10)
 
@@ -740,15 +735,16 @@ class TestProjectOntoImage:
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
         e = identity_embedding(a, b)
         with pytest.raises(SpaceMismatchError):
-            project_onto_image(random_state_vector(a, 1), e)
+            pull_back(random_state_vector(a, 1), e)
+        with pytest.raises(SpaceMismatchError):
+            relational_state(random_state_vector(a, 1), e)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_norm_split_identity(self, seed):
-        # |V V^dagger psi|^2 + deficiency = |psi|^2 for random states, dims <= 64.
+        # |V V^dagger psi|^2 + trace deficit = |psi|^2 for random states, dims <= 64.
         psi, e = random_pair(seed * 7 + 3)
-        comp, deficiency = project_onto_image(psi, e)
-        inside = e.isometry @ comp
-        total = float(np.vdot(inside, inside).real) + deficiency
+        inside = e.isometry @ pull_back(psi, e).reshape(-1)
+        total = float(np.vdot(inside, inside).real) + relational_state(psi, e).trace_deficit
         assert total == pytest.approx(psi.norm_sq, abs=1e-10)
 
 

@@ -1,4 +1,4 @@
-"""Relational (reduced) states, spectra, sampling, isolation checks."""
+"""Relational (reduced) states, spectra and sampling."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,16 +11,15 @@ from relfock import (
     StateVector,
     bell_state,
     build_fock_space,
-    check_isolated_independence,
     identity_embedding,
     mode_partition_embedding,
     possible_internal_states,
     random_state_vector,
     relational_state,
-    sample_internal_state,
     sample_internal_states,
     tensor_product,
 )
+from relfock.relational import _deterministic_group_basis
 
 from conftest import qudit_space, random_pair
 
@@ -67,16 +66,20 @@ class TestRelationalState:
         assert rho.trace_deficit == pytest.approx(0.0, abs=1e-12)
 
     def test_product_state_gives_projector(self):
-        a, b = qudit_space(3, "a"), qudit_space(2, "b")
-        e = identity_embedding(a, b)
-        psi_a = random_state_vector(a, 11)
-        psi_b = random_state_vector(b, 12)
-        psi = tensor_product(psi_a, psi_b)
-        psi = StateVector(e.reference_id, psi.amplitudes)
-        rho = relational_state(psi, e, "A")
-        expected = np.outer(psi_a.amplitudes, psi_a.amplitudes.conj())
-        np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        # Two exact products, and one perturbed by 1e-12 in every amplitude.
+        for dim_b, seed, noise in [(2, 11, 0.0), (4, 5, 0.0), (4, 15, 1e-12)]:
+            a, b = qudit_space(3, "a"), qudit_space(dim_b, "b")
+            e = identity_embedding(a, b)
+            psi_a = random_state_vector(a, seed)
+            psi = tensor_product(psi_a, random_state_vector(b, seed + 1))
+            rng = np.random.Generator(np.random.PCG64(seed + 2))
+            amps = psi.amplitudes + noise * (rng.standard_normal(3 * dim_b)
+                                             + 1j * rng.standard_normal(3 * dim_b))
+            psi = StateVector(e.reference_id, amps / np.linalg.norm(amps))
+            rho = relational_state(psi, e, "A")
+            expected = np.outer(psi_a.amplitudes, psi_a.amplitudes.conj())
+            np.testing.assert_allclose(rho.matrix, expected, atol=1e-12 + 10 * noise)
+            assert rho.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_deficient_state_against_projector_oracle(self):
         # Oracle: project onto the image with the dense V V^dagger, then
@@ -237,14 +240,32 @@ class TestPossibleInternalStates:
         np.testing.assert_allclose(d1.eigenvectors[0].amplitudes, [1, 0], atol=1e-14)
         np.testing.assert_allclose(d1.eigenvectors[1].amplitudes, [0, 1], atol=1e-14)
 
+    def test_large_degenerate_group_basis_ignores_rotation(self):
+        # k = 64 orthonormal columns of a 96-dimensional space, rotated by two
+        # random unitaries: the same eigenspace, so the same basis.
+        rng = np.random.Generator(np.random.PCG64(64))
+        dim, k = 96, 64
+
+        def unitary(n):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            return q
+
+        space = unitary(dim)[:, :k]
+        first, second = (_deterministic_group_basis(space @ unitary(k)) for _ in range(2))
+        assert first.shape == (dim, k)
+        assert np.abs(first.conj().T @ first - np.eye(k)).max() < 1e-12
+        np.testing.assert_allclose(first, second, rtol=0.0, atol=1e-12)
+        # still a basis of the eigenspace
+        np.testing.assert_allclose(first @ first.conj().T, space @ space.conj().T,
+                                   rtol=0.0, atol=1e-12)
+
 
 class TestSampling:
     def test_certain_state(self):
         rho = DensityOperator.from_matrix("q", np.diag([1.0, 0.0]))
         dec = possible_internal_states(rho)
         for seed in (0, 1, 99, 2**40):
-            out = sample_internal_state(dec, seed)
-            assert not out.annihilated and out.index == 0
+            assert sample_internal_states(dec, 1, seed).tolist() == [0]
 
     def test_certain_annihilation(self):
         rho = DensityOperator.from_matrix("q", np.zeros((2, 2)))
@@ -252,7 +273,7 @@ class TestSampling:
         assert dec.eigenvalues == ()
         assert dec.annihilation_probability == 1.0
         for seed in (0, 7, 123456):
-            assert sample_internal_state(dec, seed).annihilated
+            assert sample_internal_states(dec, 1, seed).tolist() == [dec.outcome_count]
 
     def test_seed_reproducibility(self):
         rho = DensityOperator.from_matrix("q", np.diag([0.5, 0.2]))
@@ -279,32 +300,3 @@ class TestSampling:
         freq = np.sum(outcomes == 2) / n
         sigma = np.sqrt(0.3 * 0.7 / n)
         assert abs(freq - 0.3) < 3 * sigma
-
-
-class TestIsolatedIndependence:
-    def test_product_state_passes(self):
-        a, b = qudit_space(3, "a"), qudit_space(4, "b")
-        e = identity_embedding(a, b)
-        psi = tensor_product(random_state_vector(a, 5), random_state_vector(b, 6))
-        psi = StateVector(e.reference_id, psi.amplitudes)
-        report = check_isolated_independence(psi, e)
-        assert report.applicable and report.passed
-        assert report.max_deviation < 1e-10
-
-    def test_entangled_state_not_applicable(self):
-        sp = build_fock_space([ModeSpec("q0"), ModeSpec("q1")], "R")
-        e = mode_partition_embedding(sp, ["q0"])
-        report = check_isolated_independence(bell_state(sp), e)
-        assert not report.applicable
-        assert "entangled" in report.note
-
-    def test_perturbed_product_state_within_tolerance(self):
-        a, b = qudit_space(3, "a"), qudit_space(4, "b")
-        e = identity_embedding(a, b)
-        psi = tensor_product(random_state_vector(a, 15), random_state_vector(b, 16))
-        rng = np.random.Generator(np.random.PCG64(17))
-        noise = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        amps = psi.amplitudes + 1e-12 * noise
-        amps = amps / np.linalg.norm(amps)
-        report = check_isolated_independence(StateVector(e.reference_id, amps), e)
-        assert report.applicable and report.passed
