@@ -20,21 +20,21 @@ import numpy as np
 from .errors import EmbeddingValidationError, SpaceMismatchError
 from .hilbert import (
     Embedding,
-    EmbeddingValidation,
     FockSpace,
     ModePartition,
     ModeSpec,
     StateVector,
+    _factor_space,
     compose_space_id,
-    index_map_deviation,
     permute_columns,
     pull_back,
     push_forward,
     selection_isometry,
     tensor_product,
+    validate_embedding,
 )
 from .relational import SpectralDecomposition, _degeneracy_groups, _pivot_phase
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,9 @@ class SchmidtDecomposition:
 
 
 def schmidt_decompose(psi_R: StateVector, e: Embedding,
-                      tol: Tolerances | None = None) -> SchmidtDecomposition:
+                      tol: Tolerances = Tolerances()) -> SchmidtDecomposition:
     """Singular value decomposition of the pulled-back state, plus the part of
     psi outside the image as an explicit residual vector."""
-    tol = resolve(tol)
     phi = pull_back(psi_R, e)
     if not psi_R.is_normalized(tol):
         raise ValueError(f"state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}")
@@ -125,19 +124,19 @@ def _joint_subsystem(parts: Sequence[Embedding]) -> FockSpace:
 
 
 def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
-                       tol: Tolerances | None = None) -> Embedding:
+                       tol: Tolerances = Tolerances()) -> Embedding:
     """Chain mode-partition embeddings of one reference into a single
     embedding of A_1 (x) ... (x) A_n with the leftover modes as complementer.
 
     Overlapping factors produce a map that is not an isometry; with
     ``validate`` (the default) that raises EmbeddingValidationError carrying
-    the report; max|V^dagger V - 1| is 1.0 if a column of this 0/1 map has no
-    image or shares its row, else 0.0. A map that passes but has a mode one
-    part claims and another freezes then raises ValueError naming the mode.
+    the report of validate_embedding on the composed map: max|V^dagger V - 1|
+    is 1.0 if a column has no image or shares its row, else 0.0. A map that
+    passes but has a mode one part claims and another freezes then raises
+    ValueError naming the mode.
     Explicit-isometry embeddings cannot be chained automatically; build the
     joint isometry directly instead.
     """
-    tol = resolve(tol)
     if not parts:
         raise ValueError("need at least one embedding to compose")
     reference = parts[0].reference
@@ -163,28 +162,25 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
     comp_labels = tuple(
         l for l in reference.mode_labels if l not in claimed and l not in frozen
     )
-    if comp_labels:
-        comp_modes = tuple(reference.modes[reference.mode_index(l)] for l in comp_labels)
-        complementer = FockSpace(f"{reference.space_id}[{','.join(comp_labels)}]", comp_modes)
-    else:
-        complementer = FockSpace.trivial(f"{reference.space_id}[]")
+    complementer = _factor_space(reference, comp_labels)
 
     groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
     rows = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
+    partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
+    composed = Embedding(subsystem, complementer, reference, partition=partition, rows=rows)
     if validate:
-        dev = index_map_deviation(rows)
-        if dev >= tol.herm:
+        report = validate_embedding(composed, tol)
+        if not report.passed:
             raise EmbeddingValidationError(
                 "composed map is not an isometry (overlapping or inconsistent"
-                f" factors): max|V^dagger V - 1| = {dev:g}",
-                report=EmbeddingValidation(False, dev, tol.herm),
+                f" factors): max|V^dagger V - 1| = {report.max_deviation:g}",
+                report=report,
             )
         for label in claimed:
             if label in frozen:
                 raise ValueError(
                     f"mode {str(label)!r} is claimed by one part and frozen by another")
-    partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
-    return Embedding(subsystem, complementer, reference, partition=partition, rows=rows)
+    return composed
 
 
 def regroup_embedding(composed: Embedding, factors: Sequence[FockSpace],
@@ -261,7 +257,7 @@ class JointDistribution:
 
 def joint_distribution(psi_I: StateVector, composed: Embedding,
                        spectra: Sequence[SpectralDecomposition],
-                       tol: Tolerances | None = None) -> JointDistribution:
+                       tol: Tolerances = Tolerances()) -> JointDistribution:
     """P(j_1, ..., j_n): probability that each subsystem's realized internal
     state is the j_i-th possible one, simultaneously.
 
@@ -271,7 +267,6 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
     is re-verified by checking that the single-axis marginals reproduce each
     spectrum's eigenvalues.
     """
-    tol = resolve(tol)
     spectra = list(spectra)
     if not spectra:
         raise ValueError("need at least one spectrum")

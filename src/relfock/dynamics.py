@@ -47,7 +47,7 @@ from .hilbert import (
     charge_values,
     mode_action,
 )
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 _FACTOR_KINDS = ("create", "annihilate", "number")
 # Triplet products one ``HamiltonianSpec.energies`` chunk holds: 4 MB each of
@@ -255,6 +255,7 @@ class SectorEigensystem:
         entry count times the Taylor substeps the times need."""
         times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
+        dts = np.diff(times, prepend=0.0)  # the intervals Taylor steps over
         support = [np.zeros(0, dtype=np.int64)]
         for g in self._groups:
             a = amplitudes[g.idx]
@@ -262,13 +263,13 @@ class SectorEigensystem:
             if not occupied.any():
                 continue
             with self._lock:
-                taylor = _taylor_blocks(g, occupied, times)
+                taylor, norm1 = _taylor_blocks(g, occupied, dts)
                 entries = g.entries
             if len(taylor):
-                for b in taylor:
+                for b, norm in zip(taylor, norm1):
                     mine = entries[0] == b
                     out[:, g.idx[b]] = _taylor_states(*(e[mine] for e in entries[1:]),
-                                                      a[b], times)
+                                                      a[b], dts, norm)
                 support.append(g.idx[taylor].ravel())
                 occupied[taylor] = False
                 if not occupied.any():
@@ -317,51 +318,47 @@ def _substeps(norm1: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return np.ceil(np.multiply.outer(norm1, np.abs(dt)) / 2)
 
 
-def _taylor_blocks(g: _Blocks, occupied: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The propagator rule: the indices of the occupied blocks of g, none of
-    them diagonalized yet, that go to Taylor, that is where it needs at
-    least one substep and s^3 > _TAYLOR_COST * nnz * substeps. The cost
-    stays in floats: where |H|_1 |dt| overflows, the substeps are inf or
-    NaN, both comparisons fail and the block takes the eigenpairs, with no
-    integer conversion on the way. A block with no substep (every time 0)
-    takes the eigenpairs too."""
-    k, s = g.idx.shape
-    # A block of s >= 2 states is connected, so it holds at least 2 (s - 1)
-    # entries, and a single state at most one; Taylor takes at least one
-    # substep. Below this size it never pays.
-    if not len(times) or s ** 3 <= _TAYLOR_COST * max(2 * (s - 1), 1):
-        return np.zeros(0, dtype=np.int64)
+def _taylor_blocks(g: _Blocks, occupied: np.ndarray,
+                   dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The propagator rule over the time intervals dts: the indices of the
+    occupied blocks of g, none of them diagonalized yet, that go to Taylor,
+    that is where it needs at least one substep and s^3 > _TAYLOR_COST * nnz
+    * substeps, and the |H_block|_1 of each, which sets its substeps in
+    ``_taylor_states``. The cost stays in floats: where |H|_1 |dt| overflows,
+    the substeps are inf or NaN, both comparisons fail and the block takes
+    the eigenpairs, with no integer conversion on the way. A block with no
+    substep (no interval, or every one 0) takes the eigenpairs too."""
     blocks = np.flatnonzero(occupied & ~g.done)
-    if not len(blocks):
-        return blocks
+    if not len(blocks):  # nothing to price; the entries may be released
+        return blocks, np.zeros(0)
+    k, s = g.idx.shape
     block, _, col, val = g.entries
     nnz = np.bincount(block, minlength=k)[blocks]
     # |H_block|_1, the largest column sum of |H|
     norm1 = np.bincount(block * s + col, np.abs(val), minlength=k * s).reshape(k, s)
     norm1 = norm1.max(axis=1)[blocks]
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _substeps(norm1, np.diff(times, prepend=0.0)).sum(axis=1)
-        return blocks[(steps > 0) & (s ** 3 > _TAYLOR_COST * nnz * steps)]
+        steps = _substeps(norm1, dts).sum(axis=1)
+        taylor = (steps > 0) & (s ** 3 > _TAYLOR_COST * nnz * steps)
+    return blocks[taylor], norm1[taylor]
 
 
 def _taylor_states(row: np.ndarray, col: np.ndarray, val: np.ndarray,
-                   a: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) a at each time, as the rows of a (T, s) array, for one
-    block given by its entries alone, sorted by row, every row present.
-    A truncated Taylor series with scaling (Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)): from 0 along the times, each interval dt is cut
+                   a: np.ndarray, dts: np.ndarray, norm1: float) -> np.ndarray:
+    """exp(-i H t) a at each time t, the running sums of dts, as the rows of
+    a (T, s) array, for one block given by its entries, sorted by row, every
+    row present, and norm1. A truncated Taylor series with scaling (Al-Mohy
+    and Higham, SIAM J. Sci. Comput. 33, 488 (2011)): each interval dt is cut
     into ``_substeps`` substeps h, and each substep sums the terms
     (-i H h)^k x / k! until one is at most 2^-53 of the sum (by the largest
     real or imaginary part). With |H h|_1 <= 2, each term from the third on
     is at most 2/k of the one before, and a term that is not finite ends
     the series, so the drift check sees it. H x is one ``np.add.reduceat``
     over the entries; nothing of size s x s is formed."""
-    norm1 = np.bincount(col, np.abs(val), minlength=len(a)).max()
     starts = np.flatnonzero(np.diff(row, prepend=-1))
     val = val.astype(np.complex128)
-    out = np.empty((len(times), len(a)), dtype=np.complex128)
+    out = np.empty((len(dts), len(a)), dtype=np.complex128)
     x = a.astype(np.complex128)
-    dts = np.diff(times, prepend=0.0)
     for i, (dt, m) in enumerate(zip(dts, _substeps(norm1, dts).astype(np.int64))):
         for _ in range(m):
             term, x = x, x.copy()
@@ -418,10 +415,9 @@ def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
 
 def build_hamiltonian(space: FockSpace,
                       terms: Sequence[HamiltonianTerm | tuple],
-                      tol: Tolerances | None = None) -> HamiltonianSpec:
+                      tol: Tolerances = Tolerances()) -> HamiltonianSpec:
     """Assemble sum of terms, adding each term's adjoint unless it is already
     self-adjoint. An empty term list gives the zero operator."""
-    tol = resolve(tol)
     parsed = tuple(
         t if isinstance(t, HamiltonianTerm) else HamiltonianTerm(t[0], tuple(t[1]))
         for t in terms
@@ -484,7 +480,7 @@ def hopping_hamiltonian(space: FockSpace, coupling: float,
 
 
 def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,
-           tol: Tolerances | None = None) -> StateVector:
+           tol: Tolerances = Tolerances()) -> StateVector:
     """psi(t) = exp(-i H t) psi0: the state of the one-point trajectory at t,
     with its checks."""
     return evolve_trajectory(psi0, h, [t], tol=tol).states[0]
@@ -515,7 +511,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[float],
                       embeddings: Mapping[str, Embedding] | None = None,
                       charge_kinds: Sequence[str] = (),
-                      tol: Tolerances | None = None) -> Trajectory:
+                      tol: Tolerances = Tolerances()) -> Trajectory:
     """Evolve and record norm, energy, charge expectations and relational
     traces for each registered embedding at every requested time. Each
     monitor is one array expression over the support columns of the states:
@@ -523,7 +519,6 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     charge or by how many embedded columns each entry carries; energies are
     the triplet sums inside the support; an explicit isometry V gives its
     traces from one product conj(a) @ V."""
-    tol = resolve(tol)
     psi0.require_space(h.space_id, h.space.dimension)
     if not psi0.is_normalized(tol):
         raise ValueError(f"initial state must be unit norm; |psi|^2 = {psi0.norm_sq!r}")
@@ -565,7 +560,7 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
 def trace_deficit_trajectory(psi0: StateVector, h: HamiltonianSpec, e: Embedding,
                              times: Sequence[float],
                              charge_kinds: Sequence[str] = (),
-                             tol: Tolerances | None = None) -> Trajectory:
+                             tol: Tolerances = Tolerances()) -> Trajectory:
     """Trajectory with the relational trace of one embedding monitored under
     the key 'subsystem'; deficits('subsystem') gives 1 - Tr rho_A(t)."""
     return evolve_trajectory(psi0, h, times, embeddings={"subsystem": e},

@@ -15,8 +15,9 @@ composition or regrouping of mode partitions, an identity embedding -- is its
 column -> row index map: pulling a state back is a gather of one amplitude per
 column and validity is read off the rows, in O(dim) time and memory, with no
 dim(R) x dim(A)*dim(B) matrix. Any other map (an explicit isometry) is that
-dense matrix. Other modules go through pull_back, push_forward, permute_columns
-and column_charges; only dynamics.evolve_trajectory and
+dense matrix. validate_embedding checks either form, and composed maps go
+through it too. Other modules go through pull_back, push_forward,
+permute_columns and column_charges; only dynamics.evolve_trajectory and
 superselection._column_sectors read the form themselves.
 
 Index conventions, used everywhere without exception:
@@ -35,7 +36,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import EmbeddingValidationError, SpaceMismatchError
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 CHARGE_KINDS = ("electric", "baryon", "lepton")
 
@@ -132,11 +133,6 @@ class FockSpace:
         object.__setattr__(self, "_strides", strides)
         object.__setattr__(self, "_occupations", occ)
 
-    @classmethod
-    def trivial(cls, space_id: str) -> "FockSpace":
-        """The one-dimensional space with no modes (empty complementers)."""
-        return cls(space_id=space_id, modes=())
-
     @property
     def mode_labels(self) -> tuple[str, ...]:
         return tuple(m.label for m in self.modes)
@@ -216,8 +212,8 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def is_normalized(self, tol: Tolerances | None = None) -> bool:
-        return abs(self.norm_sq - 1.0) < resolve(tol).norm
+    def is_normalized(self, tol: Tolerances = Tolerances()) -> bool:
+        return abs(self.norm_sq - 1.0) < tol.norm
 
     def require_space(self, space_id: str, dimension: int) -> None:
         if self.space_id != space_id or self.dimension != dimension:
@@ -422,21 +418,15 @@ class EmbeddingValidation:
     tolerance: float
 
 
-def validate_embedding(e: Embedding, tol: Tolerances | None = None) -> EmbeddingValidation:
+def validate_embedding(e: Embedding, tol: Tolerances = Tolerances()) -> EmbeddingValidation:
     """Check V^dagger V = identity on A (x) B; report the max deviation."""
-    tol = resolve(tol)
     if e.rows is not None:
-        dev = index_map_deviation(e.rows)
+        # 1.0 if a column has no image or shares its row with another, else 0.0
+        dev = 0.0 if e.rows.min() >= 0 and np.unique(e.rows).size == e.rows.size else 1.0
     else:
         gram = e.isometry.conj().T @ e.isometry
         dev = float(np.abs(gram - np.eye(e.image_dimension)).max())
     return EmbeddingValidation(passed=dev < tol.herm, max_deviation=dev, tolerance=tol.herm)
-
-
-def index_map_deviation(rows: np.ndarray) -> float:
-    """max|V^dagger V - 1| of a 0/1 map, read off its index map: 1.0 if a
-    column has no image or shares its row with another column, else 0.0."""
-    return 0.0 if rows.min() >= 0 and np.unique(rows).size == rows.size else 1.0
 
 
 def pull_back(psi_R: StateVector, e: Embedding) -> np.ndarray:
@@ -537,6 +527,15 @@ def selection_isometry(reference: FockSpace,
     return rows
 
 
+def _factor_space(reference: FockSpace, labels: Sequence[str],
+                  space_id: str | None = None) -> FockSpace:
+    """The space of the given reference modes, in order, with id space_id or
+    R[l1,l2]; no labels give the one-dimensional space with no modes."""
+    labels = tuple(labels)
+    return FockSpace(space_id or f"{reference.space_id}[{','.join(labels)}]",
+                     tuple(reference.modes[reference.mode_index(l)] for l in labels))
+
+
 def mode_partition_embedding(
     reference: FockSpace,
     subsystem_labels: Sequence[str],
@@ -571,15 +570,8 @@ def mode_partition_embedding(
         mode = reference.modes[reference.mode_index(label)]
         if not 0 <= occ <= mode.max_occupation:
             raise ValueError(f"frozen occupation {occ} out of range for mode {label!r}")
-
-    def _sub_space(labels: tuple[str, ...], default_id: str) -> FockSpace:
-        if not labels:
-            return FockSpace.trivial(default_id)
-        specs = [reference.modes[reference.mode_index(l)] for l in labels]
-        return FockSpace(default_id, tuple(specs))
-
-    space_a = _sub_space(sub, subsystem_id or f"{reference.space_id}[{','.join(sub)}]")
-    space_b = _sub_space(comp, complementer_id or f"{reference.space_id}[{','.join(comp)}]")
+    space_a = _factor_space(reference, sub, subsystem_id)
+    space_b = _factor_space(reference, comp, complementer_id)
     rows = selection_isometry(reference, [(space_a, sub), (space_b, comp)], frozen)
     return Embedding(space_a, space_b, reference,
                      partition=ModePartition(sub, comp, tuple(sorted(frozen.items()))),
@@ -592,7 +584,7 @@ def embedding_from_isometry(
     reference: FockSpace,
     matrix: np.ndarray,
     validate: bool = True,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> Embedding:
     """Wrap an explicit isometry as an Embedding, validating it by default."""
     e = Embedding(space_a, space_b, reference, matrix)

@@ -15,7 +15,7 @@ from typing import Literal
 import numpy as np
 
 from .hilbert import Embedding, StateVector, pull_back
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ Factor = Literal["A", "B"]
 
 
 def relational_state(psi_R: StateVector, e: Embedding, factor: Factor = "A",
-                     tol: Tolerances | None = None) -> DensityOperator:
+                     tol: Tolerances = Tolerances()) -> DensityOperator:
     """Reduced state of one embedding factor with respect to the reference.
 
     The reference state is pulled back through the isometry and the other
@@ -59,9 +59,9 @@ def relational_state(psi_R: StateVector, e: Embedding, factor: Factor = "A",
     """
     phi = pull_back(psi_R, e)
     if factor == "A":
-        return _reduce(psi_R, phi, e.subsystem_id, resolve(tol))
+        return _reduce(psi_R, phi, e.subsystem_id, tol)
     if factor == "B":
-        return _reduce(psi_R, phi.T, e.complementer_id, resolve(tol))
+        return _reduce(psi_R, phi.T, e.complementer_id, tol)
     raise ValueError(f"factor must be 'A' or 'B', got {factor!r}")
 
 
@@ -74,10 +74,7 @@ def _reduce(psi_R: StateVector, phi: np.ndarray, space_id: str,
             f"reference state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}"
         )
     rho = phi @ phi.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    trace = float(np.trace(rho).real)
-    return DensityOperator(space_id=space_id, matrix=rho, trace=trace,
-                           trace_deficit=1.0 - trace)
+    return DensityOperator.from_matrix(space_id, (rho + rho.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -162,11 +159,10 @@ def _deterministic_group_basis(vectors: np.ndarray) -> np.ndarray:
 
 
 def possible_internal_states(rho: DensityOperator,
-                             tol: Tolerances | None = None) -> SpectralDecomposition:
+                             tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     """Eigenvalues and eigenvectors of a relational state, with the trace
     deficit reported as the probability of annihilation. Raises unless rho
     is Hermitian PSD with trace <= 1; a NaN entry fails the Hermitian check."""
-    tol = resolve(tol)
     herm_dev = float(np.abs(rho.matrix - rho.matrix.conj().T).max())
     if not herm_dev < tol.herm:
         raise ValueError(f"density operator not Hermitian: max dev {herm_dev:g}")
@@ -214,6 +210,8 @@ def sample_internal_states(dec: SpectralDecomposition, count: int, seed: int) ->
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if count > np.iinfo(np.intp).max:  # more outcomes than an array can index
+        raise ValueError(f"count must be at most {np.iinfo(np.intp).max}, got {count}")
     probs = np.array(list(dec.eigenvalues) + [dec.annihilation_probability])
     cum = np.cumsum(probs)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -38,7 +38,7 @@ from .relational import _reduce, possible_internal_states, relational_state, \
 from .report import Report, TaskResult
 from .scenario import Scenario
 from .superselection import check_superselection
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 
 def _required(params: Mapping[str, Any], key: str) -> Any:
@@ -254,10 +254,9 @@ _HANDLERS: dict[str, Callable] = {
 COMMANDS = tuple(sorted(_HANDLERS))
 
 
-def run_scenario(scenario: Scenario, tol: Tolerances | None = None,
+def run_scenario(scenario: Scenario, tol: Tolerances = Tolerances(),
                  seed: int | None = None) -> Report:
     """Execute every task in order and collect a report."""
-    tol = resolve(tol)
     report = Report(library_version=__version__, scenario_digest=scenario.digest,
                     tolerances=tol)
     for task in scenario.tasks:

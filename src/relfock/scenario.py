@@ -69,7 +69,7 @@ from .hilbert import (
     random_state_vector,
     state_from_amplitudes,
 )
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 SCENARIO_SCHEMA = "relfock.scenario/1"
 # Largest space a scenario may declare. At this dimension a Hamiltonian whose
@@ -355,9 +355,8 @@ def _check_strings(node: Any, where: str) -> None:
             _check_strings(value, f"{where}[{i}]")
 
 
-def load_scenario(path: str | Path, tol: Tolerances | None = None) -> Scenario:
+def load_scenario(path: str | Path, tol: Tolerances = Tolerances()) -> Scenario:
     """Parse and fully validate a scenario file."""
-    tol = resolve(tol)
     path = Path(path)
     try:
         raw = path.read_bytes()

@@ -17,7 +17,7 @@ from .errors import ChargeCompatibilityError
 from .hilbert import (Embedding, FockSpace, StateVector, charge_values, column_charges,
                       read_only)
 from .relational import relational_state
-from .tolerances import Tolerances, resolve
+from .tolerances import Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +56,10 @@ def sector_decomposition(space: FockSpace, kind: str) -> SectorDecomposition:
 
 
 def is_charge_eigenstate(psi: StateVector, dec: SectorDecomposition,
-                         tol: Tolerances | None = None) -> int | None:
+                         tol: Tolerances = Tolerances()) -> int | None:
     """The charge value whose sector holds essentially all amplitude weight,
     or None if the state straddles sectors."""
-    tol = resolve(tol)
-    if psi.space_id != dec.space_id or psi.dimension != dec.labels.size:
-        raise ValueError(
-            f"state in {psi.space_id!r} does not match sector decomposition of"
-            f" {dec.space_id!r}"
-        )
+    psi.require_space(dec.space_id, dec.labels.size)
     weights = np.abs(psi.amplitudes) ** 2
     total = float(weights.sum())
     if total == 0.0:
@@ -112,12 +107,12 @@ def _column_sectors(e: Embedding, ref_sectors: SectorDecomposition,
 
 
 def check_embedding_charge_compatibility(e: Embedding, kind: str,
-                                         tol: Tolerances | None = None) -> None:
+                                         tol: Tolerances = Tolerances()) -> None:
     """Require that the sector of each column depend only on the total
     subsystem-plus-complementer charge, one sector per total, distinct totals
     in distinct sectors. Additivity then forces block-diagonal reductions of
     charge-eigenstate references."""
-    _check_compatibility(e, sector_decomposition(e.reference, kind), resolve(tol))
+    _check_compatibility(e, sector_decomposition(e.reference, kind), tol)
 
 
 def _check_compatibility(e: Embedding, ref_sectors: SectorDecomposition,
@@ -149,7 +144,7 @@ def _check_compatibility(e: Embedding, ref_sectors: SectorDecomposition,
 
 
 def check_superselection(psi_R: StateVector, e: Embedding, kind: str,
-                         tol: Tolerances | None = None) -> SuperselectionReport:
+                         tol: Tolerances = Tolerances()) -> SuperselectionReport:
     """Measure the largest matrix element of the reduced subsystem state that
     connects different subsystem charge sectors.
 
@@ -157,7 +152,6 @@ def check_superselection(psi_R: StateVector, e: Embedding, kind: str,
     must vanish; a reference superposed across sectors is reported as not
     applicable together with the (generally nonzero) off-sector magnitude.
     """
-    tol = resolve(tol)
     psi_R.require_space(e.reference_id, e.reference.dimension)
     ref_sectors = sector_decomposition(e.reference, kind)
     _check_compatibility(e, ref_sectors, tol)

@@ -22,11 +22,3 @@ class Tolerances:
 
     def with_overrides(self, **kwargs: float) -> "Tolerances":
         return replace(self, **kwargs)
-
-
-_DEFAULT = Tolerances()
-
-
-def resolve(tol: Tolerances | None) -> Tolerances:
-    """Return the given tolerances, or the defaults."""
-    return _DEFAULT if tol is None else tol

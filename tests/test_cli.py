@@ -515,6 +515,8 @@ BAD_PARAMETERS = {
                     "count must be an integer, got 2.7"),
     "count-bool": (*_task_edit("bell", "sample_electron", count=True),
                    "count must be an integer, got True"),
+    "count-beyond-intp": (*_task_edit("bell", "sample_electron", count=10**30),
+                          f"count must be at most {np.iinfo(np.intp).max}, got {10**30}"),
     "seed-float": (*_task_edit("bell", "sample_electron", seed=1.5),
                    "seed must be an integer, got 1.5"),
     "seed-string": (*_task_edit("bell", "sample_electron", seed="7"),
@@ -625,6 +627,23 @@ class TestToleranceOverrides:
         load_scenario(path, Tolerances())  # fine at default tolerance
         with pytest.raises(ScenarioError, match="not normalized"):
             load_scenario(path, Tolerances().with_overrides(norm=1e-17))
+
+    def test_every_public_tol_parameter_defaults_to_tolerances(self):
+        import inspect
+
+        import relfock
+
+        exported = [getattr(relfock, name) for name in relfock.__all__]
+        callables = [obj for obj in exported if inspect.isfunction(obj)]
+        callables += [method for cls in exported if inspect.isclass(cls)
+                      for name, method in inspect.getmembers(cls, inspect.isfunction)
+                      if not name.startswith("_")]
+        defaults = {fn.__qualname__: inspect.signature(fn).parameters["tol"].default
+                    for fn in callables if "tol" in inspect.signature(fn).parameters}
+        assert len(defaults) >= 17, sorted(defaults)
+        wrong = {name: default for name, default in defaults.items()
+                 if not (isinstance(default, Tolerances) and default == Tolerances())}
+        assert wrong == {}
 
 
 def test_public_names_resolve():

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import relfock.composition
+import relfock.hilbert
 import relfock.runner
 from relfock import (
+    Embedding,
     EmbeddingValidationError,
     ModeSpec,
     StateVector,
@@ -373,6 +375,41 @@ class TestJointTask:
         task = run_scenario(scenario).tasks[0]
         assert task.status == "ok", task.error
         assert canonical_json(task.result) == expected
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["disjoint", "overlapping"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_validates_its_composed_map_once_from_the_index_map(self, seed, overlap,
+                                                                monkeypatch):
+        psi, parts = random_joint_case(seed)
+        if overlap:
+            parts.append(parts[0])
+        composed = compose_embeddings(parts, validate=False)
+        validated, validate = [], relfock.hilbert.validate_embedding
+
+        def recording(e, *args, **kwargs):
+            validated.append(e)
+            return validate(e, *args, **kwargs)
+
+        def refuse(self):
+            raise AssertionError("the joint task read a dense isometry")
+        monkeypatch.setattr(relfock.hilbert, "validate_embedding", recording)
+        monkeypatch.setattr(relfock.composition, "validate_embedding", recording)
+        monkeypatch.setattr(Embedding, "isometry", property(refuse))
+        names = [f"part{i}" for i in range(len(parts))]
+        scenario = Scenario(spaces={}, states={"psi": psi}, embeddings=dict(zip(names, parts)),
+                            hamiltonians={}, digest="",
+                            tasks=(Task("joint", "joint", {"state": "psi", "embeddings": names}),))
+        task = run_scenario(scenario).tasks[0]
+        if overlap:
+            assert task.status == "error"
+            assert task.error["type"] == "EmbeddingValidationError"
+        else:
+            assert task.status == "ok", task.error
+        assert len(validated) == 1
+        (e,) = validated
+        assert (e.subsystem, e.complementer, e.reference, e.partition) == \
+            (composed.subsystem, composed.complementer, composed.reference, composed.partition)
+        assert np.array_equal(e.rows, composed.rows)
 
 
 def kron_joint_reference(psi, joint, spectra) -> np.ndarray:

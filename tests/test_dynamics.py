@@ -980,9 +980,9 @@ def taylor_calls(monkeypatch):
     order."""
     seen, taylor = [], dynamics._taylor_states
 
-    def counting(row, col, val, a, times):
+    def counting(row, col, val, a, dts, norm1):
         seen.append(len(a))
-        return taylor(row, col, val, a, times)
+        return taylor(row, col, val, a, dts, norm1)
     monkeypatch.setattr(dynamics, "_taylor_states", counting)
     return seen
 

@@ -272,6 +272,14 @@ class TestSampling:
         for seed in (0, 7, 123456):
             assert sample_internal_states(dec, 1, seed).tolist() == [dec.outcome_count]
 
+    def test_count_beyond_array_index_range_names_count(self):
+        dec = possible_internal_states(DensityOperator.from_matrix("q", np.eye(2) / 2))
+        limit = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match=f"^count must be at most {limit}, got {10**30}$"):
+            sample_internal_states(dec, 10**30, seed=1)
+        with pytest.raises(ValueError, match=f"^count must be at most {limit}, got {limit + 1}$"):
+            sample_internal_states(dec, limit + 1, seed=1)
+
     def test_seed_reproducibility(self):
         rho = DensityOperator.from_matrix("q", np.diag([0.5, 0.2]))
         dec = possible_internal_states(rho)

@@ -305,7 +305,7 @@ def _random_zero_one_isometry(seed):
     while True:
         a = _random_charged_space(rng, "A", 1, 2)
         b = _random_charged_space(rng, "B", 1, 2) if rng.random() < 0.8 \
-            else FockSpace.trivial("B")
+            else FockSpace("B", ())
         ref = _random_charged_space(rng, "R", 2, 5)
         if a.dimension * b.dimension <= ref.dimension:
             break
