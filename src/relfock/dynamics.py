@@ -13,14 +13,13 @@ of one array, by one of two paths per occupied block:
 - the exact matrix exponential through the block's eigendecomposition,
   diagonalized on first need and kept, with one broadcast product per
   block size for all times;
-- a truncated Taylor series with scaling through the block's entries
-  alone, which costs O(nnz) memory and no s^3 solve.
-A fixed cost rule picks the path: a block whose eigenpairs exist always
-uses them; otherwise it goes to Taylor when s^3 > C * nnz * substeps, with
-C measured once (``_TAYLOR_COST``). Both paths conserve the norm to solver
-precision, and the norm-drift check guards both. ``evolve_trajectory``
-computes each monitor as one array expression over the support columns of
-the states, and ``evolve`` is a one-point trajectory.
+- a Chebyshev expansion through the block's entries alone: one recurrence
+  from t = 0 for every time, O(T s + nnz) memory and no s^3 solve.
+A block whose eigenpairs exist uses them; any other goes to Chebyshev when
+s^3 > C (nnz + T s) N, N its term count and C measured once. Both paths
+conserve the norm to solver precision, and the norm-drift check guards
+both. ``evolve_trajectory`` computes each monitor as one array expression
+over the support columns; ``evolve`` is a one-point trajectory.
 Coefficients are finite reals and every factor weight is real, so an
 assembled H is real symmetric and its blocks are diagonalized in real
 arithmetic.
@@ -29,7 +28,6 @@ subspace, which is how a relational trace dynamically drops below one.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import threading
@@ -163,16 +161,17 @@ def _hermiticity_deviation(h: HamiltonianSpec) -> float:
 @dataclass(eq=False)
 class _Blocks:
     """The k conserved blocks of one size s. Row i of idx (k, s) lists the
-    basis states of block i in ascending order, and entries holds H's
-    nonzero entries inside these blocks as (block, row, column, value) in
-    block-local coordinates, each block's entries row-major. The eigenpairs
-    w (k, s) and u (k, s, s) are allocated when the first block is
+    basis states of block i in ascending order, entries holds H's nonzero
+    entries inside these blocks as (block, row, column, value) in block-local
+    coordinates, each block's row-major, and stats the ``_block_stats``. The
+    eigenpairs w (k, s) and u (k, s, s) are allocated when the first block is
     diagonalized; done marks the blocks they hold. Once every block is done,
     both turn read-only and the entries are released."""
 
     idx: np.ndarray
     entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     done: np.ndarray
+    stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     w: np.ndarray | None = None
     u: np.ndarray | None = None
 
@@ -218,8 +217,8 @@ class SectorEigensystem:
     restricted to them is u[i] diag(w[i]) u[i]^dagger.
 
     Each block is diagonalized on first need and kept: ``propagate``
-    diagonalizes the occupied blocks that ``_taylor_blocks`` does not send
-    to the Taylor propagator, ``blocks`` the rest, and no block is
+    diagonalizes the occupied blocks that ``_chebyshev_blocks`` does not
+    send to the Chebyshev propagator, ``blocks`` the rest, and no block is
     diagonalized twice. A lock guards the first need, so concurrent use
     diagonalizes each block once too."""
 
@@ -247,15 +246,13 @@ class SectorEigensystem:
           block size, the phases at all times form one (T, k, s) array and
           u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
           (T, k, 1, s) @ (k, s, s), with u^dagger a computed once;
-        - through its entries alone, by ``_taylor_states``: no s x s array,
-          no lock and nothing kept.
-        The rule (``_taylor_blocks``) reads the block alone: a block whose
-        eigenpairs exist always takes them; any other goes to Taylor when
-        s^3 > _TAYLOR_COST * nnz * substeps, its size cubed against its
-        entry count times the Taylor substeps the times need."""
+        - through its entries alone (``_chebyshev_states``): one recurrence
+          for every time, no s x s array, no lock and nothing kept.
+        The rule (``_chebyshev_blocks``) reads the block alone: a block whose
+        eigenpairs exist always takes them; any other goes to Chebyshev when
+        s^3 > _CHEBYSHEV_COST * (nnz + T s) * N, N the term count."""
         times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
-        dts = np.diff(times, prepend=0.0)  # the intervals Taylor steps over
         support = [np.zeros(0, dtype=np.int64)]
         for g in self._groups:
             a = amplitudes[g.idx]
@@ -263,17 +260,20 @@ class SectorEigensystem:
             if not occupied.any():
                 continue
             with self._lock:
-                taylor, norm1 = _taylor_blocks(g, occupied, dts)
+                chosen = _chebyshev_blocks(g, occupied, times)
                 entries = g.entries
-            if len(taylor):
-                for b, norm in zip(taylor, norm1):
-                    mine = entries[0] == b
-                    out[:, g.idx[b]] = _taylor_states(*(e[mine] for e in entries[1:]),
-                                                      a[b], dts, norm)
-                support.append(g.idx[taylor].ravel())
-                occupied[taylor] = False
-                if not occupied.any():
-                    continue
+            for b, n in chosen:
+                cols, mine = g.idx[b], (entries[0] == b) if len(g.idx) > 1 else slice(None)
+                run = cols[-1] - cols[0] == len(cols) - 1  # then out[:, run] is a view
+                block = out[:, cols[0]:cols[-1] + 1] if run else np.zeros_like(out[:, :len(cols)])
+                _chebyshev_states(*(e[mine] for e in entries[1:]), a[b], times,
+                                  *(v[b] for v in g.stats[1:]), n, block)
+                if not run:
+                    out[:, cols] = block
+                support.append(cols)
+                occupied[b] = False
+            if not occupied.any():
+                continue
             if occupied.all():
                 occupied = slice(None)  # views of the whole stack, no copies
             idx, a = g.idx[occupied], a[occupied]
@@ -293,84 +293,110 @@ class SectorEigensystem:
         return out, np.sort(np.concatenate(support))
 
 
-# The propagator rule's constant: a block not yet diagonalized goes to Taylor
-# when s^3 > _TAYLOR_COST * nnz * substeps, where s^3 stands for the eigh and
-# nnz * substeps for the Taylor matrix-vector products (up to about 25 per
-# substep, each a gather and a reduceat over the block's nnz entries). Fixed
-# by a sweep of one-block Hamiltonians (2-core host, OpenBLAS, best of 7
-# runs, three sweeps): the eigh path's time for one block and one time
-# against the Taylor time per substep gives the crossover substep count, and
-# C = s^3 / (nnz * crossover). Medians over the three sweeps:
-#   kicked (n two-level modes, n creation terms + h.c. and n number terms):
-#     s = 64: C = 197, 128: 299, 256: 392, 512: 641, 1024: 677, 2048: 832
-#   half-filled fermion hopping chain of L sites:
-#     s = 70: C = 289, 252: 814, 924: 1244
-# 1500 lies above every crossover measured, so a block goes to Taylor only
-# where Taylor won in the sweep; a tie should go to the eigh path, whose
-# eigenpairs serve every later call.
-_TAYLOR_COST = 1500
+# The rule's constant: s^3 stands for the eigh, (nnz + T s) * N for N sparse
+# products and N additions into the (T, s) output. The sweep that fixed it
+# (one-block Hamiltonians, 2-core host, OpenBLAS at 2 threads, best of 7,
+# median of 3 sweeps) gives the crossover C = s^3 / cost where both paths
+# take equal time, for 20 times on [0, 2] / 1 time: kicked s = 64: 6/26,
+# 128: 11/31, 256: 18/38, 512: 23/36, 1024: 31/44, 2048: 35/44; half-filled
+# fermion chains s = 70: 7/30, 252: 16/47, 924: 39/68 (largest run 76). 100
+# lies above each; a tie goes to eigh, whose eigenpairs serve later calls.
+_CHEBYSHEV_COST = 100.0
 
 
-def _substeps(norm1: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Taylor substeps per block (rows) and time interval (columns),
-    ceil(|H_block|_1 |dt| / 2) as floats, so that each substep of length h
-    has |H h|_1 <= 2; inf or NaN where the product is not finite."""
-    return np.ceil(np.multiply.outer(norm1, np.abs(dt)) / 2)
+def _order(top: float, bits: int) -> int:
+    """The first order m where (top/2)^m / m!, a bound on |J_m(x)| for |x| <=
+    top, is below 2^-bits. The search starts at e top / 2: below it the bound
+    exceeds 1 / sqrt(2 pi m), and above it each is under 1/e of the last."""
+    m = int(math.e * top / 2)
+    while top and m * math.log(top / 2) - math.lgamma(m + 1) > -bits * math.log(2):
+        m += 1
+    return m
 
 
-def _taylor_blocks(g: _Blocks, occupied: np.ndarray,
-                   dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The propagator rule over the time intervals dts: the indices of the
-    occupied blocks of g, none of them diagonalized yet, that go to Taylor,
-    that is where it needs at least one substep and s^3 > _TAYLOR_COST * nnz
-    * substeps, and the |H_block|_1 of each, which sets its substeps in
-    ``_taylor_states``. The cost stays in floats: where |H|_1 |dt| overflows,
-    the substeps are inf or NaN, both comparisons fail and the block takes
-    the eigenpairs, with no integer conversion on the way. A block with no
-    substep (no interval, or every one 0) takes the eigenpairs too."""
-    blocks = np.flatnonzero(occupied & ~g.done)
-    if not len(blocks):  # nothing to price; the entries may be released
-        return blocks, np.zeros(0)
-    k, s = g.idx.shape
-    block, _, col, val = g.entries
-    nnz = np.bincount(block, minlength=k)[blocks]
-    # |H_block|_1, the largest column sum of |H|
-    norm1 = np.bincount(block * s + col, np.abs(val), minlength=k * s).reshape(k, s)
-    norm1 = norm1.max(axis=1)[blocks]
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = _substeps(norm1, dts).sum(axis=1)
-        taylor = (steps > 0) & (s ** 3 > _TAYLOR_COST * nnz * steps)
-    return blocks[taylor], norm1[taylor]
-
-
-def _taylor_states(row: np.ndarray, col: np.ndarray, val: np.ndarray,
-                   a: np.ndarray, dts: np.ndarray, norm1: float) -> np.ndarray:
-    """exp(-i H t) a at each time t, the running sums of dts, as the rows of
-    a (T, s) array, for one block given by its entries, sorted by row, every
-    row present, and norm1. A truncated Taylor series with scaling (Al-Mohy
-    and Higham, SIAM J. Sci. Comput. 33, 488 (2011)): each interval dt is cut
-    into ``_substeps`` substeps h, and each substep sums the terms
-    (-i H h)^k x / k! until one is at most 2^-53 of the sum (by the largest
-    real or imaginary part). With |H h|_1 <= 2, each term from the third on
-    is at most 2/k of the one before, and a term that is not finite ends
-    the series, so the drift check sees it. H x is one ``np.add.reduceat``
-    over the entries; nothing of size s x s is formed."""
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    val = val.astype(np.complex128)
-    out = np.empty((len(dts), len(a)), dtype=np.complex128)
-    x = a.astype(np.complex128)
-    for i, (dt, m) in enumerate(zip(dts, _substeps(norm1, dts).astype(np.int64))):
-        for _ in range(m):
-            term, x = x, x.copy()
-            for k in itertools.count(1):
-                term = np.add.reduceat(val * term[col], starts)
-                term *= -1j * dt / (m * k)
-                x += term
-                if not np.abs(term.view(np.float64)).max() > \
-                        2.0 ** -53 * np.abs(x.view(np.float64)).max():
-                    break
-        out[i] = x
+def _bessel_j(x: np.ndarray, n: int) -> np.ndarray:
+    """J_k(x) for k = 0..n at each x of a 1-d array, as an (n + 1, len(x))
+    array: Miller's backward recurrence from J_{m+1} = 0, m = max(n,
+    ``_order``(max|x|, 84)), whose start error, about (J_m / J_k)^2, is below
+    rounding for J_k > 2^-60, run on the ratios J_k / J_{k-1} = x / (2k -
+    x J_{k+1} / J_k): nothing overflows, x = 0 gives exactly delta_k0 and
+    J_k(-x) = (-1)^k J_k(x). Normalized by J_0 + 2 sum_{2k<=n} J_2k = 1."""
+    out, ratio = np.ones((n + 1, len(x))), np.zeros_like(x)
+    for k in range(max(n, _order(float(np.abs(x).max(initial=0.0)), 84)), 0, -1):
+        ratio = x / (2 * k - x * ratio)
+        if k <= n:
+            out[k] = ratio
+    np.cumprod(out, axis=0, out=out)  # J_k / J_0
+    out /= 2 * out[::2].sum(axis=0) - 1
     return out
+
+
+def _chebyshev_blocks(g: _Blocks, occupied: np.ndarray,
+                      times: np.ndarray) -> list[tuple[int, int]]:
+    """The propagator rule: the occupied blocks of g not diagonalized yet
+    where r max|t| > 0 and s^3 > _CHEBYSHEV_COST * (nnz + T s) * N', each with
+    N' = ``_order``(r max|t|, 55) >= the term count. The cost stays in floats:
+    a non-finite r max|t| fails the floor N' > r max|t| and takes eigh."""
+    if g.stats is None or not len(times):
+        return []
+    s, blocks = g.idx.shape[1], np.flatnonzero(occupied & ~g.done)
+    nnz, _, radius = (v[blocks] for v in g.stats)
+    per_term = nnz + len(times) * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = radius * np.abs(times).max()
+        maybe = (reach > 0) & (s ** 3 > _CHEBYSHEV_COST * per_term * np.maximum(reach, 1))
+    return [(b, n) for b, x, cost in zip(blocks[maybe], reach[maybe], per_term[maybe])
+            if s ** 3 > _CHEBYSHEV_COST * cost * (n := _order(x, 55))]
+
+
+def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.ndarray,
+                      times: np.ndarray, centre: float, radius: float, n: int,
+                      out: np.ndarray) -> int:
+    """Add exp(-i H t) a at each time into the rows of out (T, s), zero on
+    entry, for one block given by its row-sorted entries, the centre c and
+    half-width r of an interval holding its spectrum, and a bound n on the
+    term count N, which is returned: the Chebyshev expansion (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)) e^{-ict} sum_{k<=N} (2 -
+    delta_k0) J_k(r t) v_k, v_k = (-i)^k T_k(H~) a, H~ = (H - c) / r, from
+    v_0 = a, v_1 = -i H~ a, v_{k+1} = -2i H~ v_k + v_{k-1}, whose dropped terms
+    sum below 2^-53 at r max|t| and so at every smaller |t|. This recurrence
+    serves every time, each term is added into out as it is made, and no
+    BLAS routine is called."""
+    starts, scale = np.flatnonzero(np.diff(row, prepend=-1)), -2j / radius  # -2i H~ = (H - c) scale
+    flat, work = out.view(np.float64), np.empty(len(val), dtype=np.complex128)
+    rows = max(1, (1 << 13) // len(a))  # 128 KB of scratch per chunk of times
+    scratch = np.empty((min(rows, len(times)), flat.shape[1]))
+    prev, v = None, a.astype(np.complex128)
+    bessel = _bessel_j(radius * times, n)
+    # 2 sum_{i>=k} |J_i|; the terms past the bound n sum below 2^-54 more
+    tail = 2 * np.cumsum(np.abs(bessel[::-1, np.abs(times).argmax()]))
+    terms = 1 + int((tail[:-2] >= 2.0 ** -54).sum())
+    for k, coeff in enumerate(bessel[:terms + 1]):
+        if k:
+            v.take(col, out=work, mode="clip")  # clip: no buffered copy; col is in range
+            step = (np.add.reduceat(np.multiply(work, val, out=work), starts) - centre * v) * scale
+            prev, v = v, (step / 2 if prev is None else step + prev)
+        pairs = (2 * v if k else v).view(np.float64)  # the factor 2 - delta_k0
+        for i in range(0, len(times), rows):
+            part = scratch[:len(flat[i:i + rows])]
+            flat[i:i + rows] += np.multiply(coeff[i:i + rows, None], pairs, out=part)
+    out *= np.exp(-1j * centre * times)[:, None]
+    return terms
+
+
+def _block_stats(k: int, s: int, block: np.ndarray, row: np.ndarray, col: np.ndarray,
+                 val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Each block's entry count and the centre and half-width of its
+    Gershgorin span [min(H_ii - R_i), max(H_ii + R_i)], R_i = sum_{j != i}
+    |H_ij|, which holds its spectrum; None if s^3 <= _CHEBYSHEV_COST (3 s - 2),
+    a cost floor of the Chebyshev path."""
+    if s ** 3 <= _CHEBYSHEV_COST * (3 * s - 2):
+        return None
+    on, at, mag = row == col, block * s + row, np.abs(val)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.bincount(at, np.where(on, val.real, -mag), k * s).reshape(k, s).min(axis=1)
+        hi = np.bincount(at, np.where(on, val.real, mag), k * s).reshape(k, s).max(axis=1)
+        return np.bincount(block, minlength=k), (hi + lo) / 2, (hi - lo) / 2
 
 
 def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
@@ -408,7 +434,8 @@ def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:
         sel = inside & (size[rows] == s)
         at_row, at_col = rank[rows[sel]] - start, rank[cols[sel]] - start
         entries = (at_row // s, at_row % s, at_col % s, vals[sel])
-        groups.append(_Blocks(idx, entries, np.zeros(len(idx), dtype=bool)))
+        groups.append(_Blocks(idx, entries, np.zeros(len(idx), dtype=bool),
+                              _block_stats(len(idx), s, *entries)))
         start += idx.size
     return SectorEigensystem(groups)
 

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 
@@ -11,6 +14,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from relfock import (
     Embedding,
@@ -976,14 +980,14 @@ def _kicked(modes, scale=1.0):
 
 @pytest.fixture
 def taylor_calls(monkeypatch):
-    """The block size of every Taylor propagation the test makes, in call
-    order."""
-    seen, taylor = [], dynamics._taylor_states
+    """The block size of every matrix-free (Chebyshev) propagation the test
+    makes, in call order."""
+    seen, chebyshev = [], dynamics._chebyshev_states
 
-    def counting(row, col, val, a, dts, norm1):
+    def counting(row, col, val, a, *args):
         seen.append(len(a))
-        return taylor(row, col, val, a, dts, norm1)
-    monkeypatch.setattr(dynamics, "_taylor_states", counting)
+        return chebyshev(row, col, val, a, *args)
+    monkeypatch.setattr(dynamics, "_chebyshev_states", counting)
     return seen
 
 
@@ -997,7 +1001,7 @@ class TestTaylorPath:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_block_matches_expm(self, monkeypatch, eigh_calls, taylor_calls,
                                     seed, complex_vals, grid):
-        monkeypatch.setattr(dynamics, "_TAYLOR_COST", 0.0)  # every block to Taylor
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)  # every block to Chebyshev
         s = 16 + 16 * seed
         h = _one_block(seed, s, complex_vals)
         assert bool(h.vals.imag.any()) == complex_vals
@@ -1017,9 +1021,9 @@ class TestTaylorPath:
     def test_partial_support_mixes_paths_and_keeps_nothing(self, monkeypatch, eigh_calls,
                                                            taylor_calls):
         h = _chain()
-        monkeypatch.setattr(dynamics, "_TAYLOR_COST", 0.0)
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
         occupations = h.space.basis_occupations.sum(axis=1)
-        # no substep at t = 0: the half-filled sector goes through eigh
+        # an all-zero grid: the half-filled sector goes through eigh
         evolve(basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0)), h, 0.0)
         assert [a.shape for a in eigh_calls] == [(1, 70, 70)]
         rng = np.random.default_rng(2)
@@ -1030,7 +1034,7 @@ class TestTaylorPath:
         times = TAYLOR_GRIDS["uneven"]
         traj = evolve_trajectory(psi, h, times)
         # the 70-state sector keeps its eigenpairs; the occupied 56-state
-        # sector goes to Taylor
+        # sector goes to Chebyshev
         assert len(eigh_calls) == 1 and taylor_calls == [56]
         dense = dense_matrix(h)
         for t, state in zip(times, traj.states):
@@ -1040,7 +1044,7 @@ class TestTaylorPath:
             assert np.all(a[~support] == 0)
             assert not np.signbit(a[~support].real).any()
             assert not np.signbit(a[~support].imag).any()
-        # Taylor kept nothing: both 56-state sectors are still to diagonalize
+        # Chebyshev kept nothing: both 56-state sectors are still to diagonalize
         h.eigensystem.blocks
         assert (2, 56, 56) in [a.shape for a in eigh_calls[1:]]
 
@@ -1072,7 +1076,7 @@ class TestTaylorPath:
     def test_diagonalized_block_is_not_repropagated_by_taylor(self, eigh_calls, taylor_calls):
         h = _kicked(8)
         psi = random_state_vector(h.space, 4)
-        # one short time: 256^3 against 1500 x 2303 entries x 1 substep
+        # one short time: 256^3 against 100 x (2303 entries + 256) x 14 terms
         first = evolve(psi, h, 0.1)
         assert taylor_calls == [256] and eigh_calls == []
         h.eigensystem.blocks
@@ -1090,7 +1094,7 @@ class TestTaylorPath:
                 pytest.raises(ValueError, match=r"^evolution lost unitarity: max norm drift nan$"):
             evolve(psi, h, 1e10)
         assert taylor_calls == [] and len(eigh_calls) == 1
-        # a finite but huge substep count (5e10) prices Taylor out too
+        # a finite but huge r max|t| (about 8e10) prices Chebyshev out too
         assert evolve(psi, _kicked(8, scale=1e300), 1e-290).is_normalized()
         assert taylor_calls == [] and len(eigh_calls) == 2
 
@@ -1123,3 +1127,152 @@ class TestTaylorPath:
         np.testing.assert_allclose(traj.states[-1].amplitudes,
                                    expm_multiply(-1j * times[-1] * sparse, psi.amplitudes),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("complex_vals", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gershgorin_interval_holds_each_block_spectrum(self, monkeypatch, seed, complex_vals):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)  # statistics for every size
+        for h in (_one_block(seed, 16 + 16 * seed, complex_vals), _chain()):
+            dense = dense_matrix(h)
+            for g in h.eigensystem._groups:
+                nnz, centre, radius = g.stats
+                for i, idx in enumerate(g.idx):
+                    assert nnz[i] == np.count_nonzero(dense[np.ix_(idx, idx)])
+                    w = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+                    slack = 1e-12 * max(radius[i], 1.0)  # rounding of the sums only
+                    assert centre[i] - radius[i] - slack <= w.min()
+                    assert w.max() <= centre[i] + radius[i] + slack
+        # a uniform hypercube, a regular bipartite block, attains both ends
+        space = build_fock_space([ModeSpec(f"q{i}", "boson", 1) for i in range(6)])
+        cube = build_hamiltonian(space, [(0.7, (("create", f"q{i}"),)) for i in range(6)])
+        (_, (centre,), (radius,)), = [g.stats for g in cube.eigensystem._groups]
+        w = np.linalg.eigvalsh(dense_matrix(cube))
+        np.testing.assert_allclose([w.min(), w.max()], [centre - radius, centre + radius],
+                                   rtol=0, atol=1e-12)
+
+    def test_bessel_values_and_term_count_match_scipy(self, monkeypatch, taylor_calls):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
+        terms, chebyshev = [], dynamics._chebyshev_states
+        monkeypatch.setattr(dynamics, "_chebyshev_states",
+                            lambda *args: terms.append(chebyshev(*args)) or terms[-1])
+        h = _one_block(0, 16, False)
+        psi, radius = random_state_vector(h.space, 0), h.eigensystem._groups[-1].stats[2][0]
+        # an all-zero grid takes the eigenpairs (of a twin: they are kept)
+        evolve_trajectory(psi, _one_block(0, 16, False), [0.0, 0.0])
+        assert taylor_calls == []
+        xs = np.array([0.0, 1e-300, 1e-8, 0.1, 1.0, 37.3, 100.0, 1000.0])
+        joint = dynamics._bessel_j(xs, dynamics._order(xs.max(), 55))  # one recurrence, as for a grid
+        assert np.array_equal(joint[:, 0], np.arange(len(joint)) == 0)  # J_k(0) = delta_k0
+        signs = (-1.0) ** np.arange(len(joint))[:, None]
+        assert np.array_equal(dynamics._bessel_j(-xs, len(joint) - 1), signs * joint)
+        for i, x in enumerate(xs[1:], 1):
+            at = radius * (x / radius)  # the block's r max|t|
+            evolve(psi, h, x / radius)
+            n = terms[-1]
+            own = dynamics._bessel_j(np.array([at]), dynamics._order(at, 55))[:n + 1, 0]
+            for values, arg in ((own, at), (joint[:n + 1, i], x)):
+                ref = jv(np.arange(n + 1), arg)
+                if x <= 37.3:
+                    big = np.abs(ref) > 1e-290
+                    assert (np.abs(values - ref)[big] <= 1e-13 * np.abs(ref[big])).all()
+                else:
+                    # scipy's jv is itself off by up to 4e-13 (x = 100) and
+                    # 1.2e-10 (x = 1000) relative to 40-digit values near the
+                    # zeros of J_k, so these are held to its absolute accuracy
+                    assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+            # the dropped terms are below rounding, by scipy's values
+            assert np.abs(jv(np.arange(n + 1, n + 400), at)).sum() < 2.0 ** -52
+        assert taylor_calls == [16] * 7
+
+    def test_evolve_matches_trajectory_without_stepping(self, monkeypatch, eigh_calls,
+                                                        taylor_calls):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
+        terms, chebyshev = [], dynamics._chebyshev_states
+        monkeypatch.setattr(dynamics, "_chebyshev_states",
+                            lambda *args: terms.append(chebyshev(*args)) or terms[-1])
+        h = _kicked(10)
+        psi = random_state_vector(h.space, 6)
+        times = np.linspace(0.0, 2.0, 20)
+        traj = evolve_trajectory(psi, h, times)
+        for i in (7, 19):
+            np.testing.assert_allclose(evolve(psi, h, times[i]).amplitudes,
+                                       traj.states[i].amplitudes, rtol=0, atol=1e-14)
+        # r max|t| alone sets the term count: the 20 times cost what the last
+        # one does, and an earlier time fewer, whatever came before
+        assert terms[0] == terms[2] > terms[1]
+        evolve(psi, h, -times[7])
+        evolve_trajectory(psi, h, [times[7], 0.0, -times[3]])
+        assert terms[3:] == [terms[1]] * 2
+        assert taylor_calls == [1024] * 5 and eigh_calls == []
+
+    def test_long_grid_matches_expm_in_o_ts_memory(self, monkeypatch, eigh_calls, taylor_calls):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
+        n_times, s = 2000, 1024
+        times = np.linspace(0.0, 2.0, n_times)
+        twin, h = _kicked(10), _kicked(10)
+        psi = random_state_vector(h.space, 7)
+        tracemalloc.start()
+        try:
+            twin.eigensystem  # the block search alone
+            search = tracemalloc.get_traced_memory()[1]
+            del twin
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            amps, _ = h.eigensystem.propagate(psi.amplitudes, times)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        (_, bound), = dynamics._chebyshev_blocks(h.eigensystem._groups[-1],
+                                                 np.ones(1, dtype=bool), times)
+        # the (T, s) output, the Bessel values J_k(r t) for k up to the rule's
+        # bound on the term count, and a few s-vectors beyond the block
+        # search: no s x s array, no stack of the recurrence vectors
+        assert peak < (n_times + 8) * s * 16 + (bound + 1) * n_times * 8 + search
+        traj = evolve_trajectory(psi, h, times)
+        assert taylor_calls == [s, s] and eigh_calls == []
+        assert np.array_equal([state.amplitudes for state in traj.states], amps)
+        assert np.abs(traj.norms - 1.0).max() < 1e-13
+        sparse = csr_matrix((h.vals, (h.rows, h.cols)), shape=(s, s))
+        for i in (1, 401, 999, 1600, 1999):
+            np.testing.assert_allclose(amps[i], expm_multiply(-1j * times[i] * sparse,
+                                                              psi.amplitudes),
+                                       rtol=0, atol=1e-12)
+
+    def test_matrix_free_reports_do_not_depend_on_blas_threads(self, tmp_path, eigh_calls,
+                                                               taylor_calls):
+        labels = [f"q{i}" for i in range(10)]
+        phi = random_state_vector(_kicked(10).space, 8).amplitudes
+        doc = {
+            "schema": "relfock.scenario/1",
+            "spaces": [{"id": "Q", "modes": [{"label": q, "max_occupation": 1} for q in labels]}],
+            "states": [{"name": "phi", "space": "Q", "kind": "amplitudes",
+                        "amplitudes": [[a.real, a.imag] for a in phi.tolist()]}],
+            "embeddings": [{"name": "half", "kind": "mode_partition", "reference": "Q",
+                            "subsystem_modes": labels[:5], "frozen": {labels[-1]: 0}}],
+            "hamiltonians": [{"name": "kicked", "space": "Q", "terms": [
+                {"coefficient": 0.3 + 0.05 * i, "factors": [["create", q]]}
+                for i, q in enumerate(labels)] + [
+                {"coefficient": 0.6 + 0.1 * i, "factors": [["number", q]]}
+                for i, q in enumerate(labels)]}],
+            "tasks": [
+                {"command": "trace-trajectory", "name": "curve", "state": "phi",
+                 "hamiltonian": "kicked", "embedding": "half",
+                 "times": {"start": 0.0, "stop": 2.0, "num": 20}},
+                {"command": "evolve", "name": "later", "state": "phi",
+                 "hamiltonian": "kicked", "t": 1.3},
+            ],
+        }
+        path = tmp_path / "kicked.json"
+        path.write_text(json.dumps(doc))
+        report = run_scenario(load_scenario(str(path)))
+        # the rule sends the 1024-state block to Chebyshev for both tasks
+        assert all(t.status == "ok" for t in report.tasks)
+        assert taylor_calls == [1024, 1024] and eigh_calls == []
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "relfock", str(path), "--format",
+                                   "machine"], capture_output=True, env=env, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == report.to_machine_bytes()
