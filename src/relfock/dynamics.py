@@ -9,17 +9,15 @@ of H's nonzero pattern, and a state never leaves the blocks it occupies, so
 only the blocks where the state has an exactly nonzero amplitude (the
 support) are propagated, and every other entry stays exactly zero.
 ``SectorEigensystem.propagate`` gives the states at all times as the rows
-of one array, by one of two paths per occupied block:
-- the exact matrix exponential through the block's eigendecomposition,
-  diagonalized on first need and kept, with one broadcast product per
-  block size for all times;
-- a Chebyshev expansion through the block's entries alone: one recurrence
-  from t = 0 for every time, O(T s + nnz) memory and no s^3 solve.
-A block whose eigenpairs exist uses them; any other goes to Chebyshev when
-s^3 > C (nnz + T s) N, N its term count and C measured once. Both paths
-conserve the norm to solver precision, and the norm-drift check guards
-both. ``evolve_trajectory`` computes each monitor as one array expression
-over the support columns; ``evolve`` is a one-point trajectory.
+of one array, by one of two paths per occupied block: the exact exponential
+through the block's eigenpairs, kept once found, with one broadcast product
+per block size for all times; or a Chebyshev expansion through the block's
+entries alone, one recurrence from t = 0 for every time in O(T s + nnz)
+memory and no BLAS call. A block whose eigenpairs exist uses them; any
+other goes to Chebyshev when s^3 + T s^2 > C (nnz + T s) N, N its term
+count. Both paths conserve the norm to solver precision, and the drift
+check guards both. ``evolve_trajectory`` computes each monitor as one array
+expression over the support columns; ``evolve`` is a one-point trajectory.
 Coefficients are finite reals and every factor weight is real, so an
 assembled H is real symmetric and its blocks are diagonalized in real
 arithmetic.
@@ -241,16 +239,15 @@ class SectorEigensystem:
         A state never leaves the blocks it occupies, so every entry outside
         the support is exactly +0. No time, no work.
 
-        Each occupied block takes one of two paths:
+        Each occupied block takes one of two paths, by a rule that reads the
+        block alone (``_chebyshev_blocks``: s^3 + T s^2 against C (nnz + T s)
+        N, and a block whose eigenpairs exist always takes them):
         - through its eigenpairs, diagonalizing it first if need be: per
           block size, the phases at all times form one (T, k, s) array and
           u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
           (T, k, 1, s) @ (k, s, s), with u^dagger a computed once;
         - through its entries alone (``_chebyshev_states``): one recurrence
-          for every time, no s x s array, no lock and nothing kept.
-        The rule (``_chebyshev_blocks``) reads the block alone: a block whose
-        eigenpairs exist always takes them; any other goes to Chebyshev when
-        s^3 > _CHEBYSHEV_COST * (nnz + T s) * N, N the term count."""
+          for every time, no s x s array, no BLAS call and nothing kept."""
         times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
         support = [np.zeros(0, dtype=np.int64)]
@@ -293,15 +290,14 @@ class SectorEigensystem:
         return out, np.sort(np.concatenate(support))
 
 
-# The rule's constant: s^3 stands for the eigh, (nnz + T s) * N for N sparse
-# products and N additions into the (T, s) output. The sweep that fixed it
-# (one-block Hamiltonians, 2-core host, OpenBLAS at 2 threads, best of 7,
-# median of 3 sweeps) gives the crossover C = s^3 / cost where both paths
-# take equal time, for 20 times on [0, 2] / 1 time: kicked s = 64: 6/26,
-# 128: 11/31, 256: 18/38, 512: 23/36, 1024: 31/44, 2048: 35/44; half-filled
-# fermion chains s = 70: 7/30, 252: 16/47, 924: 39/68 (largest run 76). 100
-# lies above each; a tie goes to eigh, whose eigenpairs serve later calls.
-_CHEBYSHEV_COST = 100.0
+# The rule's constant: s^3 + T s^2 stands for the eigh and its T per-time
+# products, (nnz + T s) N for N sparse products and N passes over the (T, s)
+# output. A sweep (creation and number terms on each mode, s = 64-2048, t <=
+# 2; half-filled chains, s = 70, 252, 924, t <= 4; T = 1-2000; 2 cores, 1 and
+# 2 BLAS threads, best of 7, 3 at s = 2048) found Chebyshev faster above ratio
+# 16.1 and eigh below 12.1; between, Chebyshev at 12.1, 12.8, 16.0 and eigh at
+# 14.1, 16.0 (s = 64, 70, T = 1, by <= 0.06 ms). 12 splits best; ties: eigh.
+_CHEBYSHEV_COST = 12.0
 
 
 def _order(top: float, bits: int) -> int:
@@ -333,20 +329,20 @@ def _bessel_j(x: np.ndarray, n: int) -> np.ndarray:
 
 def _chebyshev_blocks(g: _Blocks, occupied: np.ndarray,
                       times: np.ndarray) -> list[tuple[int, int]]:
-    """The propagator rule: the occupied blocks of g not diagonalized yet
-    where r max|t| > 0 and s^3 > _CHEBYSHEV_COST * (nnz + T s) * N', each with
-    N' = ``_order``(r max|t|, 55) >= the term count. The cost stays in floats:
-    a non-finite r max|t| fails the floor N' > r max|t| and takes eigh."""
+    """The propagator rule: the occupied blocks of g not diagonalized yet where
+    r max|t| > 0 and s^3 + T s^2 > _CHEBYSHEV_COST (nnz + T s) N', each with N'
+    = ``_order``(r max|t|, 55) >= the term count. The cost stays in floats: a
+    non-finite r max|t| fails the floor N' > r max|t| and takes eigh."""
     if g.stats is None or not len(times):
         return []
     s, blocks = g.idx.shape[1], np.flatnonzero(occupied & ~g.done)
     nnz, _, radius = (v[blocks] for v in g.stats)
-    per_term = nnz + len(times) * s
+    eigh, per_term = s ** 3 + len(times) * s ** 2, nnz + len(times) * s
     with np.errstate(over="ignore", invalid="ignore"):
         reach = radius * np.abs(times).max()
-        maybe = (reach > 0) & (s ** 3 > _CHEBYSHEV_COST * per_term * np.maximum(reach, 1))
+        maybe = (reach > 0) & (eigh > _CHEBYSHEV_COST * per_term * np.maximum(reach, 1))
     return [(b, n) for b, x, cost in zip(blocks[maybe], reach[maybe], per_term[maybe])
-            if s ** 3 > _CHEBYSHEV_COST * cost * (n := _order(x, 55))]
+            if eigh > _CHEBYSHEV_COST * cost * (n := _order(x, 55))]
 
 
 def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.ndarray,
@@ -359,28 +355,38 @@ def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.n
     Kosloff, J. Chem. Phys. 81, 3967 (1984)) e^{-ict} sum_{k<=N} (2 -
     delta_k0) J_k(r t) v_k, v_k = (-i)^k T_k(H~) a, H~ = (H - c) / r, from
     v_0 = a, v_1 = -i H~ a, v_{k+1} = -2i H~ v_k + v_{k-1}, whose dropped terms
-    sum below 2^-53 at r max|t| and so at every smaller |t|. This recurrence
-    serves every time, each term is added into out as it is made, and no
-    BLAS routine is called."""
-    starts, scale = np.flatnonzero(np.diff(row, prepend=-1)), -2j / radius  # -2i H~ = (H - c) scale
-    flat, work = out.view(np.float64), np.empty(len(val), dtype=np.complex128)
-    rows = max(1, (1 << 13) // len(a))  # 128 KB of scratch per chunk of times
-    scratch = np.empty((min(rows, len(times)), flat.shape[1]))
-    prev, v = None, a.astype(np.complex128)
+    sum below 2^-53 at r max|t| and so at every smaller |t|. One recurrence
+    serves every time, each term is added into out as it is made, no BLAS
+    routine is called, and c enters only when c != 0."""
+    starts, scaled = np.flatnonzero(np.diff(row, prepend=-1)), val * (-2j / radius)
     bessel = _bessel_j(radius * times, n)
     # 2 sum_{i>=k} |J_i|; the terms past the bound n sum below 2^-54 more
     tail = 2 * np.cumsum(np.abs(bessel[::-1, np.abs(times).argmax()]))
     terms = 1 + int((tail[:-2] >= 2.0 ** -54).sum())
+    bessel[1:terms + 1] *= 2  # the factor 2 - delta_k0
+    flat, work = out.view(np.float64), np.empty(len(val), dtype=np.complex128)
+    rows = max(1, (1 << 13) // len(a))  # 128 KB of scratch per chunk of times
+    scratch = np.empty((min(rows, len(times)), flat.shape[1]))
+    v, prev, step = a.astype(np.complex128), *np.empty((2, len(a)), dtype=np.complex128)
     for k, coeff in enumerate(bessel[:terms + 1]):
-        if k:
+        if k:  # step = -2i H~ v_{k-1}; then v_k = step + v_{k-2}, or step / 2
             v.take(col, out=work, mode="clip")  # clip: no buffered copy; col is in range
-            step = (np.add.reduceat(np.multiply(work, val, out=work), starts) - centre * v) * scale
-            prev, v = v, (step / 2 if prev is None else step + prev)
-        pairs = (2 * v if k else v).view(np.float64)  # the factor 2 - delta_k0
+            np.add.reduceat(np.multiply(work, scaled, out=work), starts, out=step)
+            if centre:
+                step += (2j * centre / radius) * v
+            if k > 1:
+                step += prev
+            else:
+                step *= 0.5
+            prev, v, step = v, step, prev
+        if len(times) <= rows:  # one chunk
+            flat += np.multiply(coeff[:, None], v.view(np.float64), out=scratch)
+            continue
         for i in range(0, len(times), rows):
             part = scratch[:len(flat[i:i + rows])]
-            flat[i:i + rows] += np.multiply(coeff[i:i + rows, None], pairs, out=part)
-    out *= np.exp(-1j * centre * times)[:, None]
+            flat[i:i + rows] += np.multiply(coeff[i:i + rows, None], v.view(np.float64), out=part)
+    if centre:
+        out *= np.exp(-1j * centre * times)[:, None]
     return terms
 
 
@@ -388,9 +394,9 @@ def _block_stats(k: int, s: int, block: np.ndarray, row: np.ndarray, col: np.nda
                  val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Each block's entry count and the centre and half-width of its
     Gershgorin span [min(H_ii - R_i), max(H_ii + R_i)], R_i = sum_{j != i}
-    |H_ij|, which holds its spectrum; None if s^3 <= _CHEBYSHEV_COST (3 s - 2),
-    a cost floor of the Chebyshev path."""
-    if s ** 3 <= _CHEBYSHEV_COST * (3 * s - 2):
+    |H_ij|, which holds its spectrum; None if s^2 <= _CHEBYSHEV_COST, when the
+    rule never picks Chebyshev: s^3 + T s^2 <= C s (1 + T) <= C (nnz + T s) N'."""
+    if s * s <= _CHEBYSHEV_COST:
         return None
     on, at, mag = row == col, block * s + row, np.abs(val)
     with np.errstate(over="ignore", invalid="ignore"):

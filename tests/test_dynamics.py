@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -649,12 +650,14 @@ class TestOnePropagator:
         assert type(result["norm_sq"]) is float and type(result["energy"]) is float
 
 
-def _chain(sites=8):
-    """A fermion hopping chain; its blocks are the particle-number sectors."""
+def _chain(sites=8, hops=None):
+    """A fermion hopping chain, hop i from site i to i + 1 (0.5 + 0.1 i by
+    default); its blocks are the particle-number sectors."""
     space = build_fock_space([ModeSpec(f"s{i}", "fermion", 1) for i in range(sites)])
+    hops = [0.5 + 0.1 * i for i in range(sites - 1)] if hops is None else hops
     return build_hamiltonian(space, [
-        (0.5 + 0.1 * i, (("create", f"s{i + 1}"), ("annihilate", f"s{i}")))
-        for i in range(sites - 1)])
+        (float(hop), (("create", f"s{i + 1}"), ("annihilate", f"s{i}")))
+        for i, hop in enumerate(hops)])
 
 
 def _sparse_states(h, kind, rng):
@@ -682,7 +685,8 @@ LAZY_CASES = [*range(12), "complex", "conversion"]
 
 
 class TestLazyBlocks:
-    def test_only_occupied_blocks_are_diagonalized_once(self, eigh_calls):
+    def test_only_occupied_blocks_are_diagonalized_once(self, monkeypatch, eigh_calls):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)  # every block to eigh
         h = _chain()
         half = basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0))
         evolve_trajectory(half, h, [0.0, 0.5, 1.0])
@@ -991,6 +995,28 @@ def taylor_calls(monkeypatch):
     return seen
 
 
+def _conversion_model():
+    """The benchmark's 10-mode conversion model and its pair state."""
+    modes = [ModeSpec("e-", "fermion", 1), ModeSpec("e+", "fermion", 1),
+             ModeSpec("photon", "boson", 1)] + \
+        [ModeSpec(f"x{i}", "fermion" if i % 2 else "boson", 1) for i in range(7)]
+    conversion = conversion_hamiltonian(build_fock_space(modes), 1.0, ["photon"], ["e-", "e+"])
+    return conversion, basis_state(conversion.space, (1, 1, 0, 1, 0, 0, 1, 1, 0, 1))
+
+
+def _reports_at_one_and_two_blas_threads(path):
+    """The machine report of ``python -m relfock`` on a scenario file, from
+    child processes at one and at two BLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "relfock", str(path), "--format",
+                               "machine"], capture_output=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    return outputs
+
+
 TAYLOR_GRIDS = {"uneven": [0.0, 0.05, 0.37, 0.4, 1.9, 3.0],
                 "descending": [3.0, 1.0, 1.0, -0.5, -2.0]}
 
@@ -1048,30 +1074,75 @@ class TestTaylorPath:
         h.eigensystem.blocks
         assert (2, 56, 56) in [a.shape for a in eigh_calls[1:]]
 
-    def test_rule_keeps_bundled_and_dynamics_sized_blocks_on_eigh(self, eigh_calls,
-                                                                   taylor_calls):
+    def test_rule_keeps_bundled_and_conversion_blocks_on_eigh(self, eigh_calls, taylor_calls):
         for name in ("annihilation", "bell", "product"):
             path = resources.files("relfock") / "scenarios" / f"{name}.json"
-            report = run_scenario(load_scenario(str(path)))
+            scenario = load_scenario(str(path))
+            report = run_scenario(scenario)
             assert all(t.status == "ok" for t in report.tasks)
+            # blocks of 1 and 2 states: the rule is one integer comparison
+            for h in scenario.hamiltonians.values():
+                assert all(g.stats is None for g in h.eigensystem._groups)
         # the stacked block solves (the spectrum tasks' eigh calls are 2-d)
         assert taylor_calls == [] and [a.shape for a in eigh_calls if a.ndim == 3] == [(1, 2, 2)]
         eigh_calls.clear()
-        # the benchmark's dynamics case: a 10-mode conversion model and a
+        conversion, pair = _conversion_model()
+        evolve_trajectory(pair, conversion, np.linspace(0.0, 3.0, 50))
+        evolve(pair, conversion, 0.2)
+        assert all(g.stats is None for g in conversion.eigensystem._groups)
+        assert taylor_calls == [] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
+
+    def test_rule_sends_the_dynamics_chain_block_to_chebyshev(self, eigh_calls, taylor_calls):
+        # the benchmark's dynamics case: the conversion model and a
         # half-filled 10-site chain, a trajectory then an evolve on each
-        modes = [ModeSpec("e-", "fermion", 1), ModeSpec("e+", "fermion", 1),
-                 ModeSpec("photon", "boson", 1)] + \
-            [ModeSpec(f"x{i}", "fermion" if i % 2 else "boson", 1) for i in range(7)]
-        conversion = conversion_hamiltonian(build_fock_space(modes), 1.0,
-                                            ["photon"], ["e-", "e+"])
-        pair = basis_state(conversion.space, (1, 1, 0, 1, 0, 0, 1, 1, 0, 1))
+        conversion, pair = _conversion_model()
         evolve_trajectory(pair, conversion, np.linspace(0.0, 3.0, 50))
         evolve(pair, conversion, 0.2)
         chain = _chain(10)
         half = basis_state(chain.space, (1, 0, 1, 1, 0, 0, 1, 0, 1, 0))
         evolve_trajectory(half, chain, np.linspace(0.0, 4.0, 20))
         evolve(half, chain, 0.5)
-        assert taylor_calls == [] and [a.shape for a in eigh_calls] == [(1, 2, 2), (1, 252, 252)]
+        assert taylor_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
+
+    @pytest.mark.parametrize("hop", [0.5, 1.5])
+    def test_rule_sends_chains_of_the_benchmark_range_to_chebyshev(self, hop):
+        # every hop at either end of the benchmark's range, on its 20-point
+        # grid and at either end of its evolve times
+        g, = [g for g in _chain(10, [hop] * 9).eigensystem._groups if g.idx.shape[1] == 252]
+        for times in (np.linspace(0.0, 4.0, 20), [0.5], [3.0]):
+            chosen = dynamics._chebyshev_blocks(g, np.ones(1, dtype=bool), np.asarray(times))
+            assert [b for b, _ in chosen] == [0]
+
+    def test_rule_prices_the_per_time_products_of_eigh(self):
+        # s^3 alone would keep this long grid on eigh; s^3 + T s^2 does not
+        h, times = _kicked(10), np.linspace(0.0, 2.0, 2000)
+        g = h.eigensystem._groups[-1]
+        (nnz,), _, (radius,) = g.stats
+        n = dynamics._order(radius * 2.0, 55)
+        assert 1024 ** 3 <= dynamics._CHEBYSHEV_COST * (nnz + 2000 * 1024) * n
+        assert [b for b, _ in dynamics._chebyshev_blocks(g, np.ones(1, dtype=bool), times)] == [0]
+
+    def test_chain_matches_slater_determinants(self, eigh_calls, taylor_calls):
+        # an independent reference: N free fermions evolve as the Slater
+        # determinants of the single-particle propagator exp(-i t h1)
+        hops = np.random.default_rng(11).uniform(0.5, 1.5, 9)
+        h = _chain(10, hops)
+        start = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0])
+        psi = basis_state(h.space, tuple(start))
+        times = np.linspace(0.0, 4.0, 20)
+        traj = evolve_trajectory(psi, h, times)
+        assert taylor_calls == [252] and eigh_calls == []
+        h1 = np.diag(hops, 1) + np.diag(hops, -1)
+        occupations = h.space.basis_occupations
+        sector = np.flatnonzero(occupations.sum(axis=1) == 5)
+        sites = np.nonzero(occupations[sector])[1].reshape(-1, 5)  # ascending per state
+        for t, state in zip(times, traj.states):
+            u1 = expm(-1j * t * h1)
+            ref = np.zeros(h.space.dimension, dtype=np.complex128)
+            ref[sector] = np.linalg.det(u1[sites[:, :, None], np.flatnonzero(start)])
+            np.testing.assert_allclose(state.amplitudes, ref, rtol=0, atol=1e-12)
+        assert traj.states[0].amplitudes.tobytes() == psi.amplitudes.tobytes()
+        assert np.abs(traj.norms - 1.0).max() < 1e-13
 
     def test_diagonalized_block_is_not_repropagated_by_taylor(self, eigh_calls, taylor_calls):
         h = _kicked(8)
@@ -1268,11 +1339,62 @@ class TestTaylorPath:
         # the rule sends the 1024-state block to Chebyshev for both tasks
         assert all(t.status == "ok" for t in report.tasks)
         assert taylor_calls == [1024, 1024] and eigh_calls == []
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-m", "relfock", str(path), "--format",
-                                   "machine"], capture_output=True, env=env, check=True)
-            outputs.append(proc.stdout)
+        outputs = _reports_at_one_and_two_blas_threads(path)
+        assert outputs[0] == outputs[1] == report.to_machine_bytes()
+
+    def test_dynamics_reports_do_not_depend_on_blas_threads(self, tmp_path, eigh_calls,
+                                                            taylor_calls):
+        # the benchmark's dynamics shapes: a 10-mode conversion model and a
+        # half-filled 10-site chain, a 20-point trajectory and an evolve on each
+        hops = np.random.default_rng(71).uniform(0.5, 1.5, 9)
+        conv = ["e-", "e+", "photon"] + [f"x{i}" for i in range(7)]
+        sites = [f"s{i}" for i in range(10)]
+        doc = {
+            "schema": "relfock.scenario/1",
+            "spaces": [
+                {"id": "C", "modes": [{"label": m, "max_occupation": 1,
+                                       "statistics": "fermion" if m[0] == "e" else "boson"}
+                                      for m in conv]},
+                {"id": "L", "modes": [{"label": m, "max_occupation": 1, "statistics": "fermion"}
+                                      for m in sites]},
+            ],
+            "states": [
+                {"name": "pair", "space": "C", "kind": "basis",
+                 "occupations": [1, 1, 0, 1, 0, 0, 1, 1, 0, 1]},
+                {"name": "chain", "space": "L", "kind": "basis",
+                 "occupations": [1, 0, 1, 1, 0, 0, 1, 0, 1, 0]},
+            ],
+            "embeddings": [
+                {"name": "pair_sector", "kind": "mode_partition", "reference": "C",
+                 "subsystem_modes": ["e-"], "frozen": {"photon": 0}},
+                {"name": "open_chain", "kind": "mode_partition", "reference": "L",
+                 "subsystem_modes": sites[:5], "frozen": {sites[-1]: 0}},
+            ],
+            "hamiltonians": [
+                {"name": "conversion", "space": "C", "terms": [{"coefficient": 1.0, "factors": [
+                    ["create", "photon"], ["annihilate", "e-"], ["annihilate", "e+"]]}]},
+                {"name": "hopping", "space": "L", "terms": [
+                    {"coefficient": float(hop), "factors": [["create", sites[i + 1]],
+                                                            ["annihilate", sites[i]]]}
+                    for i, hop in enumerate(hops)]},
+            ],
+            "tasks": [
+                {"command": "trace-trajectory", "name": "conversion_curve", "state": "pair",
+                 "hamiltonian": "conversion", "embedding": "pair_sector",
+                 "times": {"start": 0.0, "stop": 3.0, "num": 20}},
+                {"command": "evolve", "name": "conversion_t", "state": "pair",
+                 "hamiltonian": "conversion", "t": 0.7},
+                {"command": "trace-trajectory", "name": "hopping_curve", "state": "chain",
+                 "hamiltonian": "hopping", "embedding": "open_chain",
+                 "times": {"start": 0.0, "stop": 4.0, "num": 20}},
+                {"command": "evolve", "name": "hopping_t", "state": "chain",
+                 "hamiltonian": "hopping", "t": 2.1},
+            ],
+        }
+        path = tmp_path / "dynamics.json"
+        path.write_text(json.dumps(doc))
+        report = run_scenario(load_scenario(str(path)))
+        assert all(t.status == "ok" for t in report.tasks)
+        assert taylor_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
+        outputs = _reports_at_one_and_two_blas_threads(path)
         assert outputs[0] == outputs[1] == report.to_machine_bytes()
