@@ -26,8 +26,6 @@ from .dynamics import (
     conversion_hamiltonian,
     evolve,
     evolve_trajectory,
-    free_hamiltonian,
-    hopping_hamiltonian,
     trace_deficit_trajectory,
 )
 from .errors import (
@@ -115,8 +113,6 @@ __all__ = [
     "embedding_from_isometry",
     "evolve",
     "evolve_trajectory",
-    "free_hamiltonian",
-    "hopping_hamiltonian",
     "identity_embedding",
     "is_charge_eigenstate",
     "joint_distribution",

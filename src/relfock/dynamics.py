@@ -12,12 +12,14 @@ support) are propagated, and every other entry stays exactly zero.
 of one array, by one of two paths per occupied block: the exact exponential
 through the block's eigenpairs, kept once found, with one broadcast product
 per block size for all times; or a Chebyshev expansion through the block's
-entries alone, one recurrence from t = 0 for every time in O(T s + nnz)
-memory and no BLAS call. A block whose eigenpairs exist uses them; any
-other goes to Chebyshev when s^3 + T s^2 > C (nnz + T s) N, N its term
-count. Both paths conserve the norm to solver precision, and the drift
-check guards both. ``evolve_trajectory`` computes each monitor as one array
-expression over the support columns; ``evolve`` is a one-point trajectory.
+entries alone, one recurrence from t = 0 for every time, its newest terms
+held in a ring of a few s-vectors and added into the output a batch at a
+time, in O(T s + nnz) memory and no BLAS call. A block whose eigenpairs
+exist uses them; any other goes to Chebyshev when s^3 + T s^2 > C (nnz +
+T s) N, N its term count. Both paths conserve the norm to solver
+precision, and the drift check guards both. ``evolve_trajectory`` computes
+each monitor as one array expression over the support columns; ``evolve``
+is a one-point trajectory.
 Coefficients are finite reals and every factor weight is real, so an
 assembled H is real symmetric and its blocks are diagonalized in real
 arithmetic.
@@ -247,7 +249,8 @@ class SectorEigensystem:
           u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
           (T, k, 1, s) @ (k, s, s), with u^dagger a computed once;
         - through its entries alone (``_chebyshev_states``): one recurrence
-          for every time, no s x s array, no BLAS call and nothing kept."""
+          for every time, its terms added into the output a batch at a time,
+          no s x s array, no BLAS call and nothing kept."""
         times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
         support = [np.zeros(0, dtype=np.int64)]
@@ -291,12 +294,15 @@ class SectorEigensystem:
 
 
 # The rule's constant: s^3 + T s^2 stands for the eigh and its T per-time
-# products, (nnz + T s) N for N sparse products and N passes over the (T, s)
-# output. A sweep (creation and number terms on each mode, s = 64-2048, t <=
-# 2; half-filled chains, s = 70, 252, 924, t <= 4; T = 1-2000; 2 cores, 1 and
-# 2 BLAS threads, best of 7, 3 at s = 2048) found Chebyshev faster above ratio
-# 16.1 and eigh below 12.1; between, Chebyshev at 12.1, 12.8, 16.0 and eigh at
-# 14.1, 16.0 (s = 64, 70, T = 1, by <= 0.06 ms). 12 splits best; ties: eigh.
+# products, (nnz + T s) N for N sparse products and N terms summed into the
+# (T, s) output, a batch of terms per pass. A sweep (creation and number terms
+# on each mode, s = 64-2048, t <= 2; half-filled chains, s = 20-924, t <= 4;
+# T = 1-2000; 2 cores, 1 and 2 BLAS threads, best of 7, 3 at s = 2048) found
+# Chebyshev faster on every block of more than 70 states and at every ratio
+# above 16.0; eigh won at ratios up to 16.0, on blocks of 20-70 states only,
+# and Chebyshev down to 1.17 (s = 70, T = 2000), so no C splits the sweep.
+# Of the C >= 4, which keep 2-state blocks off the rule, 12 misroutes fewest
+# (26 of 114 cases); ties: eigh.
 _CHEBYSHEV_COST = 12.0
 
 
@@ -356,8 +362,13 @@ def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.n
     delta_k0) J_k(r t) v_k, v_k = (-i)^k T_k(H~) a, H~ = (H - c) / r, from
     v_0 = a, v_1 = -i H~ a, v_{k+1} = -2i H~ v_k + v_{k-1}, whose dropped terms
     sum below 2^-53 at r max|t| and so at every smaller |t|. One recurrence
-    serves every time, each term is added into out as it is made, no BLAS
-    routine is called, and c enters only when c != 0."""
+    serves every time. The newest m = min(N + 1, max(3, 8192 // s)) v_k
+    wait in a ring of s-vectors (128 KB, or 3 vectors past s = 2730), which
+    also gives v_{k-1} and v_{k-2}; each full ring, then the last partial
+    one, is added into out as one product sum_k (2 - delta_k0) J_k(r t) v_k,
+    a chunk of times at a time through 64 KB of scratch, so out is read and
+    written once per m terms, not once per term. The product is numpy's own
+    einsum loop: no BLAS routine is called. c enters only when c != 0."""
     starts, scaled = np.flatnonzero(np.diff(row, prepend=-1)), val * (-2j / radius)
     bessel = _bessel_j(radius * times, n)
     # 2 sum_{i>=k} |J_i|; the terms past the bound n sum below 2^-54 more
@@ -365,26 +376,28 @@ def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.n
     terms = 1 + int((tail[:-2] >= 2.0 ** -54).sum())
     bessel[1:terms + 1] *= 2  # the factor 2 - delta_k0
     flat, work = out.view(np.float64), np.empty(len(val), dtype=np.complex128)
-    rows = max(1, (1 << 13) // len(a))  # 128 KB of scratch per chunk of times
+    rows = max(1, (1 << 12) // len(a))  # 64 KB of scratch per chunk of times
     scratch = np.empty((min(rows, len(times)), flat.shape[1]))
-    v, prev, step = a.astype(np.complex128), *np.empty((2, len(a)), dtype=np.complex128)
-    for k, coeff in enumerate(bessel[:terms + 1]):
-        if k:  # step = -2i H~ v_{k-1}; then v_k = step + v_{k-2}, or step / 2
+    ring = np.empty((min(terms + 1, max(3, (1 << 13) // len(a))), len(a)), dtype=np.complex128)
+    ring[0], m = a, len(ring)  # v_k sits in slot k % m
+    for first in range(0, terms + 1, m):
+        for k in range(max(first, 1), min(first + m, terms + 1)):
+            # -2i H~ v_{k-1}, then + v_{k-2}, or / 2 for v_1
+            v, step = ring[(k - 1) % m], ring[k % m]
             v.take(col, out=work, mode="clip")  # clip: no buffered copy; col is in range
             np.add.reduceat(np.multiply(work, scaled, out=work), starts, out=step)
             if centre:
                 step += (2j * centre / radius) * v
             if k > 1:
-                step += prev
+                step += ring[(k - 2) % m]
             else:
                 step *= 0.5
-            prev, v, step = v, step, prev
-        if len(times) <= rows:  # one chunk
-            flat += np.multiply(coeff[:, None], v.view(np.float64), out=scratch)
-            continue
+        batch = ring[:min(m, terms + 1 - first)].view(np.float64)
+        coeff = bessel[first:first + len(batch)]
         for i in range(0, len(times), rows):
             part = scratch[:len(flat[i:i + rows])]
-            flat[i:i + rows] += np.multiply(coeff[i:i + rows, None], v.view(np.float64), out=part)
+            flat[i:i + rows] += np.einsum("kt,kf->tf", coeff[:, i:i + rows], batch, out=part)
+    del bessel, coeff  # else they and the buffer of the phase product below set the peak
     if centre:
         out *= np.exp(-1j * centre * times)[:, None]
     return terms
@@ -486,13 +499,6 @@ def build_hamiltonian(space: FockSpace,
     return h
 
 
-def free_hamiltonian(space: FockSpace, frequencies: Mapping[str, float]) -> HamiltonianSpec:
-    """sum_i omega_i n_i."""
-    return build_hamiltonian(
-        space, [(float(w), (("number", label),)) for label, w in frequencies.items()]
-    )
-
-
 def conversion_hamiltonian(space: FockSpace, coupling: float,
                            create_labels: Sequence[str],
                            annihilate_labels: Sequence[str]) -> HamiltonianSpec:
@@ -502,14 +508,6 @@ def conversion_hamiltonian(space: FockSpace, coupling: float,
     factors = tuple(("create", l) for l in create_labels) + \
         tuple(("annihilate", l) for l in annihilate_labels)
     return build_hamiltonian(space, [(float(coupling), factors)])
-
-
-def hopping_hamiltonian(space: FockSpace, coupling: float,
-                        label_to: str, label_from: str) -> HamiltonianSpec:
-    """g(a^dagger_to a_from + h.c.)."""
-    return build_hamiltonian(
-        space, [(float(coupling), (("create", label_to), ("annihilate", label_from)))]
-    )
 
 
 def evolve(psi0: StateVector, h: HamiltonianSpec, t: float,

@@ -29,8 +29,6 @@ from relfock import (
     conversion_hamiltonian,
     evolve,
     evolve_trajectory,
-    free_hamiltonian,
-    hopping_hamiltonian,
     load_scenario,
     mode_partition_embedding,
     random_state_vector,
@@ -61,7 +59,7 @@ def pair_annihilation_model(g: float = 1.0):
 class TestBuildHamiltonian:
     def test_free_term_is_diagonal(self):
         sp = build_fock_space([ModeSpec("a", "boson", 2)])
-        h = free_hamiltonian(sp, {"a": 2.0})
+        h = build_hamiltonian(sp, [(2.0, (("number", "a"),))])
         np.testing.assert_allclose(dense_matrix(h), np.diag([0.0, 2.0, 4.0]))
 
     def test_zero_terms_zero_operator(self):
@@ -71,7 +69,7 @@ class TestBuildHamiltonian:
 
     def test_non_self_adjoint_term_gets_adjoint(self):
         sp = build_fock_space([ModeSpec("a", "boson", 1), ModeSpec("b", "boson", 1)])
-        h = hopping_hamiltonian(sp, 0.7, "a", "b")
+        h = build_hamiltonian(sp, [(0.7, (("create", "a"), ("annihilate", "b")))])
         dev = np.abs(dense_matrix(h) - dense_matrix(h).conj().T).max()
         assert dev == 0.0
         assert np.abs(dense_matrix(h)).max() > 0
@@ -125,7 +123,7 @@ class TestEvolve:
     def test_stationary_state_accumulates_phase_only(self):
         sp = build_fock_space([ModeSpec("a", "boson", 1), ModeSpec("b", "boson", 1)], "S")
         omega = 1.3
-        h = free_hamiltonian(sp, {"a": omega})
+        h = build_hamiltonian(sp, [(omega, (("number", "a"),))])
         psi = basis_state(sp, (1, 0))
         t = 0.9
         out = evolve(psi, h, t)
@@ -192,7 +190,8 @@ class TestTrajectories:
 
     def test_no_coupling_keeps_deficit_zero(self):
         space, _, psi0, embedding = pair_annihilation_model()
-        h_free = free_hamiltonian(space, {"e-": 1.0, "e+": 0.5, "photon": 2.0})
+        h_free = build_hamiltonian(space, [(w, (("number", label),)) for label, w in
+                                           (("e-", 1.0), ("e+", 0.5), ("photon", 2.0))])
         traj = trace_deficit_trajectory(psi0, h_free, embedding,
                                         np.linspace(0.0, 5.0, 21))
         np.testing.assert_allclose(traj.deficits("subsystem"), 0.0, atol=1e-12)
@@ -972,6 +971,19 @@ def _one_block(seed, s, complex_vals):
                            rows, cols, mat[rows, cols])
 
 
+def _time_for_terms(h, psi, target, terms):
+    """A time at which the Chebyshev path on h takes exactly target terms, by
+    bisection on the term count, which grows with the time; terms is the
+    list the patched ``_chebyshev_states`` appends each return value to."""
+    lo, hi, t = 0.0, math.inf, 1.0
+    while True:
+        evolve(psi, h, t)
+        if terms[-1] == target:
+            return t
+        lo, hi = (t, hi) if terms[-1] < target else (lo, t)
+        t = 2 * t if hi == math.inf else (lo + hi) / 2
+
+
 def _kicked(modes, scale=1.0):
     """One block spanning 2^modes states: a creation term (+ h.c.) and a
     number term on every two-level mode, as in the benchmark's dense case."""
@@ -1275,6 +1287,36 @@ class TestTaylorPath:
         evolve_trajectory(psi, h, [times[7], 0.0, -times[3]])
         assert terms[3:] == [terms[1]] * 2
         assert taylor_calls == [1024] * 5 and eigh_calls == []
+
+    @pytest.mark.parametrize("target, shift", [(20, 0.7), (63, 0.7), (64, 0.7), (64, 0.0)],
+                             ids=["below", "multiple", "one-past", "centred"])
+    def test_batched_terms_match_expm(self, monkeypatch, eigh_calls, taylor_calls,
+                                      target, shift):
+        # at s = 256 the newest m = min(N + 1, 32) terms are added together:
+        # N + 1 = 21 is one batch of 21, 64 two full batches, 65 two and a
+        # last batch of one; 20 times are two chunks of times, 16 and 4
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
+        terms, chebyshev = [], dynamics._chebyshev_states
+        monkeypatch.setattr(dynamics, "_chebyshev_states",
+                            lambda *args: terms.append(chebyshev(*args)) or terms[-1])
+        block = _one_block(1, 256, True)
+        everywhere = np.arange(256)
+        h = HamiltonianSpec(block.space, (), np.concatenate([block.rows, everywhere]),
+                            np.concatenate([block.cols, everywhere]),
+                            np.concatenate([block.vals, np.full(256, shift)]))
+        _, (centre,), _ = h.eigensystem._groups[-1].stats
+        assert h.vals.imag.any() and (centre != 0) == (shift != 0)
+        psi = random_state_vector(h.space, 1)
+        times = np.linspace(0.0, _time_for_terms(h, psi, target, terms), 20)
+        traj = evolve_trajectory(psi, h, times)
+        assert terms[-1] == target and eigh_calls == [] and set(taylor_calls) == {256}
+        dense = dense_matrix(h)
+        for i in (0, 7, 15, 16, 19):
+            np.testing.assert_allclose(traj.states[i].amplitudes,
+                                       expm(-1j * times[i] * dense) @ psi.amplitudes,
+                                       rtol=0, atol=1e-12)
+        if not centre:  # the t = 0 row is 1 v_0 plus exact zeros
+            assert traj.states[0].amplitudes.tobytes() == psi.amplitudes.tobytes()
 
     def test_long_grid_matches_expm_in_o_ts_memory(self, monkeypatch, eigh_calls, taylor_calls):
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
