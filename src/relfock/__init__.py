@@ -47,7 +47,6 @@ from .hilbert import (
     build_fock_space,
     charge_values,
     embedding_from_isometry,
-    identity_embedding,
     mode_partition_embedding,
     random_isometry_embedding,
     random_state_vector,
@@ -68,7 +67,6 @@ from .scenario import Scenario, Task, load_scenario
 from .superselection import (
     SectorDecomposition,
     SuperselectionReport,
-    check_embedding_charge_compatibility,
     check_superselection,
     is_charge_eigenstate,
     sector_decomposition,
@@ -106,14 +104,12 @@ __all__ = [
     "build_fock_space",
     "build_hamiltonian",
     "charge_values",
-    "check_embedding_charge_compatibility",
     "check_superselection",
     "compose_embeddings",
     "conversion_hamiltonian",
     "embedding_from_isometry",
     "evolve",
     "evolve_trajectory",
-    "identity_embedding",
     "is_charge_eigenstate",
     "joint_distribution",
     "load_scenario",

@@ -55,14 +55,6 @@ class SchmidtDecomposition:
     residual_norm_sq: float
     degeneracy_groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients)
-
-    @property
-    def degenerate(self) -> bool:
-        return any(len(g) > 1 for g in self.degeneracy_groups)
-
 
 def schmidt_decompose(psi_R: StateVector, e: Embedding,
                       tol: Tolerances = Tolerances()) -> SchmidtDecomposition:
@@ -123,20 +115,9 @@ def _joint_subsystem(parts: Sequence[Embedding]) -> FockSpace:
     return FockSpace(space_id, tuple(modes))
 
 
-def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
-                       tol: Tolerances = Tolerances()) -> Embedding:
-    """Chain mode-partition embeddings of one reference into a single
-    embedding of A_1 (x) ... (x) A_n with the leftover modes as complementer.
-
-    Overlapping factors produce a map that is not an isometry; with
-    ``validate`` (the default) that raises EmbeddingValidationError carrying
-    the report of validate_embedding on the composed map: max|V^dagger V - 1|
-    is 1.0 if a column has no image or shares its row, else 0.0. A map that
-    passes but has a mode one part claims and another freezes then raises
-    ValueError naming the mode.
-    Explicit-isometry embeddings cannot be chained automatically; build the
-    joint isometry directly instead.
-    """
+def _compose(parts: Sequence[Embedding]) -> Embedding:
+    """compose_embeddings' map before its checks: overlapping parts give zero
+    columns or shared rows, and a mode claimed and frozen stays in both."""
     if not parts:
         raise ValueError("need at least one embedding to compose")
     reference = parts[0].reference
@@ -167,19 +148,34 @@ def compose_embeddings(parts: Sequence[Embedding], validate: bool = True,
     groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
     rows = selection_isometry(reference, groups + [(complementer, comp_labels)], frozen)
     partition = ModePartition(tuple(claimed), comp_labels, tuple(sorted(frozen.items())))
-    composed = Embedding(subsystem, complementer, reference, partition=partition, rows=rows)
-    if validate:
-        report = validate_embedding(composed, tol)
-        if not report.passed:
-            raise EmbeddingValidationError(
-                "composed map is not an isometry (overlapping or inconsistent"
-                f" factors): max|V^dagger V - 1| = {report.max_deviation:g}",
-                report=report,
-            )
-        for label in claimed:
-            if label in frozen:
-                raise ValueError(
-                    f"mode {str(label)!r} is claimed by one part and frozen by another")
+    return Embedding(subsystem, complementer, reference, partition=partition, rows=rows)
+
+
+def compose_embeddings(parts: Sequence[Embedding],
+                       tol: Tolerances = Tolerances()) -> Embedding:
+    """Chain mode-partition embeddings of one reference into a single
+    embedding of A_1 (x) ... (x) A_n with the leftover modes as complementer.
+
+    Overlapping factors give a map that is not an isometry, which raises
+    EmbeddingValidationError carrying the report of validate_embedding on it:
+    max|V^dagger V - 1| is 1.0 if a column has no image or shares its row,
+    else 0.0. A map that passes but has a mode one part claims and another
+    freezes then raises ValueError naming the mode. Explicit-isometry
+    embeddings cannot be chained; build the joint isometry directly instead.
+    """
+    composed = _compose(parts)
+    report = validate_embedding(composed, tol)
+    if not report.passed:
+        raise EmbeddingValidationError(
+            "composed map is not an isometry (overlapping or inconsistent"
+            f" factors): max|V^dagger V - 1| = {report.max_deviation:g}",
+            report=report,
+        )
+    frozen = dict(composed.partition.frozen)
+    for label in composed.partition.subsystem_labels:
+        if label in frozen:
+            raise ValueError(
+                f"mode {str(label)!r} is claimed by one part and frozen by another")
     return composed
 
 
@@ -245,14 +241,6 @@ class JointDistribution:
     def clamped_probabilities(self) -> np.ndarray:
         """Entries clamped into [0, 1] for reporting."""
         return np.clip(self.probabilities, 0.0, 1.0)
-
-    def marginalize(self, axis: int) -> "JointDistribution":
-        """Sum out one subsystem."""
-        probs = self.probabilities.sum(axis=axis)
-        ids = tuple(s for i, s in enumerate(self.subsystem_ids) if i != axis)
-        ranges = tuple(r for i, r in enumerate(self.index_ranges) if i != axis)
-        return JointDistribution(ids, ranges, probs, total=float(probs.sum()),
-                                 max_imag=self.max_imag)
 
 
 def joint_distribution(psi_I: StateVector, composed: Embedding,

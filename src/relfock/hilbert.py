@@ -10,14 +10,14 @@ tensor products; a subsystem relation A (x) B <= R is represented explicitly
 by an isometry V from the product space into the reference space, so the image
 may be a proper subspace of R.
 
-An isometry is held in one of two forms. A 0/1 map -- a mode partition, a
-composition or regrouping of mode partitions, an identity embedding -- is its
-column -> row index map: pulling a state back is a gather of one amplitude per
-column and validity is read off the rows, in O(dim) time and memory, with no
-dim(R) x dim(A)*dim(B) matrix. Any other map (an explicit isometry) is that
-dense matrix. validate_embedding checks either form, and composed maps go
-through it too. Other modules go through pull_back, push_forward,
-permute_columns and column_charges; only dynamics.evolve_trajectory and
+An isometry is held in one of two forms. A 0/1 map (a mode partition, or a
+composition or regrouping of them) is its column -> row index map: pulling a
+state back gathers one amplitude per column and validity is read off the rows,
+in O(dim) time and memory, with no dim(R) x dim(A)*dim(B) matrix. Any other
+map (an explicit isometry) is that dense matrix. validate_embedding checks
+either form and gates embedding_from_isometry and compose_embeddings. Other
+modules go through pull_back, push_forward, permute_columns and
+column_charges; only dynamics.evolve_trajectory and
 superselection._column_sectors read the form themselves.
 
 Index conventions, used everywhere without exception:
@@ -162,11 +162,6 @@ class FockSpace:
                 )
             index += occ * stride
         return index
-
-    def occupation_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dimension:
-            raise ValueError(f"basis index {index} out of range for dimension {self.dimension}")
-        return tuple(int(n) for n in self._occupations[index])
 
 
 def build_fock_space(modes: Iterable[ModeSpec], space_id: str | None = None) -> FockSpace:
@@ -481,22 +476,6 @@ def column_charges(e: Embedding, kind: str) -> np.ndarray | None:
     return np.where(e.rows >= 0, values[e.rows], values.min())
 
 
-def identity_embedding(space_a: FockSpace, space_b: FockSpace,
-                       reference: FockSpace | None = None) -> Embedding:
-    """Embed A (x) B as all of R. If no reference is given, R is the literal
-    product space and the partition bookkeeping is filled in."""
-    partition = None
-    if reference is None:
-        reference = tensor_product(space_a, space_b)
-        partition = ModePartition(space_a.mode_labels, space_b.mode_labels)
-    dim = space_a.dimension * space_b.dimension
-    if reference.dimension != dim:
-        raise SpaceMismatchError(
-            f"identity embedding needs dim(R) = dim(A)*dim(B); got {reference.dimension} != {dim}"
-        )
-    return Embedding(space_a, space_b, reference, partition=partition, rows=np.arange(dim))
-
-
 def selection_isometry(reference: FockSpace,
                        groups: Sequence[tuple[FockSpace, Sequence[str]]],
                        frozen: Mapping[str, int]) -> np.ndarray:
@@ -583,18 +562,16 @@ def embedding_from_isometry(
     space_b: FockSpace,
     reference: FockSpace,
     matrix: np.ndarray,
-    validate: bool = True,
     tol: Tolerances = Tolerances(),
 ) -> Embedding:
-    """Wrap an explicit isometry as an Embedding, validating it by default."""
+    """Wrap an explicit isometry as an Embedding that validate_embedding passes."""
     e = Embedding(space_a, space_b, reference, matrix)
-    if validate:
-        report = validate_embedding(e, tol)
-        if not report.passed:
-            raise EmbeddingValidationError(
-                f"matrix is not an isometry: max|V^dagger V - 1| = {report.max_deviation:g}",
-                report=report,
-            )
+    report = validate_embedding(e, tol)
+    if not report.passed:
+        raise EmbeddingValidationError(
+            f"matrix is not an isometry: max|V^dagger V - 1| = {report.max_deviation:g}",
+            report=report,
+        )
     return e
 
 

@@ -98,10 +98,6 @@ class SpectralDecomposition:
     dropped_count: int
 
     @property
-    def degenerate(self) -> bool:
-        return any(len(g) > 1 for g in self.degeneracy_groups)
-
-    @property
     def outcome_count(self) -> int:
         return len(self.eigenvalues)
 

@@ -18,7 +18,8 @@ A scenario is a JSON document with schema tag "relfock.scenario/1":
       ],
       "embeddings": [
         {"name": "AB", "kind": "mode_partition", "reference": "R",
-         "subsystem_modes": ["e-"], "frozen": {"photon": 0}},       // frozen optional
+         "subsystem_modes": ["e-"], "frozen": {"photon": 0},        // frozen optional
+         "subsystem_id": "A", "complementer_id": "B"},              // optional strings
         {"name": "V", "kind": "isometry", "reference": "R",
          "subsystem": "A", "complementer": "B", "matrix": [[[re, im], ...], ...]}
       ],
@@ -73,11 +74,11 @@ from .tolerances import Tolerances
 
 SCENARIO_SCHEMA = "relfock.scenario/1"
 # Largest space a scenario may declare. At this dimension a Hamiltonian whose
-# one conserved block spans the space goes to eigh as a real D x D matrix
-# (2 GiB) and yields complex D x D eigenvectors (4 GiB); an explicit isometry
-# onto a product of the same dimension is a 4 GiB complex matrix. Mode
-# partitions are index maps of 8 bytes per column; other Hamiltonians are
-# their nonzero entries.
+# one conserved block spans the space goes to eigh only if the propagator rule
+# picks it for a long reach r max|t|: a real D x D matrix (2 GiB) and complex
+# D x D eigenvectors (4 GiB). An explicit isometry onto a product of the same
+# dimension is a 4 GiB complex matrix. Mode partitions are index maps of 8
+# bytes per column; other Hamiltonians are their nonzero entries.
 MAX_DIMENSION = 2 ** 14
 
 
@@ -285,13 +286,16 @@ def _build_embedding(entry: Mapping[str, Any], pools: Mapping[str, Mapping],
         comp = entry.get("complementer_modes")
         if comp is not None:
             comp = _labels(comp, f"{where}.complementer_modes")
+        ids = {key: entry.get(key) for key in ("subsystem_id", "complementer_id")}
+        for key, value in ids.items():
+            if value is not None and not isinstance(value, str):
+                raise ScenarioError(f"{where}: {key} must be a string, got {value!r}")
         return mode_partition_embedding(
             reference,
             subsystem_labels=sub,
             complementer_labels=comp,
             frozen={str(k): _integer(v, f"{where}.frozen[{k!r}]") for k, v in frozen.items()},
-            subsystem_id=entry.get("subsystem_id"),
-            complementer_id=entry.get("complementer_id"),
+            **ids,
         )
     if kind == "isometry":
         space_a = _lookup(spaces, _require(entry, "subsystem", where), "space", where)

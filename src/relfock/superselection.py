@@ -106,19 +106,13 @@ def _column_sectors(e: Embedding, ref_sectors: SectorDecomposition,
     return ref_sectors.sector_charges[best]
 
 
-def check_embedding_charge_compatibility(e: Embedding, kind: str,
-                                         tol: Tolerances = Tolerances()) -> None:
-    """Require that the sector of each column depend only on the total
-    subsystem-plus-complementer charge, one sector per total, distinct totals
-    in distinct sectors. Additivity then forces block-diagonal reductions of
-    charge-eigenstate references."""
-    _check_compatibility(e, sector_decomposition(e.reference, kind), tol)
-
-
 def _check_compatibility(e: Embedding, ref_sectors: SectorDecomposition,
                          tol: Tolerances) -> None:
-    """The compatibility check against given reference sectors; each error
-    names the offender that a scan of the columns in order meets first."""
+    """Require that the sector of each column depend only on the total
+    subsystem-plus-complementer charge, one sector per total, distinct totals
+    in distinct sectors; additivity then forces block-diagonal reductions of
+    charge-eigenstate references. Each error names the offender that a scan
+    of the columns in order meets first."""
     kind = ref_sectors.charge_kind
     col_charge = _column_sectors(e, ref_sectors, tol)
     q_a = charge_values(e.subsystem, kind)

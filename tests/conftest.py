@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from relfock import (
+    Embedding,
     FockSpace,
     ModeSpec,
     build_fock_space,
     random_isometry_embedding,
     random_state_vector,
+    tensor_product,
 )
 from relfock.hilbert import mode_action
 
@@ -20,6 +22,11 @@ def qudit_space(dim: int, label: str, space_id: str | None = None,
     return build_fock_space(
         [ModeSpec(label, "boson", dim - 1, charges)], space_id or f"qudit-{label}"
     )
+
+
+def identity_map(a: FockSpace, b: FockSpace) -> Embedding:
+    """A (x) B embedded as all of the product space: the identity index map."""
+    return Embedding(a, b, tensor_product(a, b), rows=np.arange(a.dimension * b.dimension))
 
 
 def mode_matrix(space: FockSpace, label: str, kind: str) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Scenario loading, task execution, report formats, CLI contract."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -90,6 +92,12 @@ LOAD_MESSAGES = {
     "unknown-task-state": (
         lambda: edited("bell", lambda doc: doc["tasks"][0].update(state="psi")),
         "task 'rho_electron': unknown state reference 'psi'"),
+    **{f"{key}-{name}": (
+        lambda key=key, value=value: edited(
+            "annihilation", lambda doc: doc["embeddings"][0].update({key: value})),
+        f"embeddings[0] ('electron_sector'): {key} must be a string, got {value!r}")
+       for key in ("subsystem_id", "complementer_id")
+       for name, value in (("int", 3), ("bool", True), ("list", ["x"]), ("object", {"a": 1}))},
     "embeddings-not-list": (
         lambda: edited("bell", lambda doc: doc.update(embeddings={"electron": 1})),
         "embeddings: expected a list"),
@@ -640,10 +648,24 @@ class TestToleranceOverrides:
                       if not name.startswith("_")]
         defaults = {fn.__qualname__: inspect.signature(fn).parameters["tol"].default
                     for fn in callables if "tol" in inspect.signature(fn).parameters}
-        assert len(defaults) >= 17, sorted(defaults)
+        assert len(defaults) >= 16, sorted(defaults)
         wrong = {name: default for name, default in defaults.items()
                  if not (isinstance(default, Tolerances) and default == Tolerances())}
         assert wrong == {}
+
+
+def test_readme_quick_start_prints_sin_squared_deficits():
+    # The "Library quick start" block of README.md, run as written: its first
+    # printed line is the subsystem's trace deficit at t = 0, 0.5, 1, 1.5.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), np.printoptions(floatmode="unique"):
+        exec(block, {})
+    printed = out.getvalue()
+    deficits = np.array(printed[printed.index("[") + 1:printed.index("]")].split(), dtype=float)
+    np.testing.assert_allclose(deficits, np.sin([0.0, 0.5, 1.0, 1.5]) ** 2, rtol=0, atol=1e-12)
 
 
 def test_public_names_resolve():

@@ -21,7 +21,6 @@ from relfock import (
     build_fock_space,
     charge_values,
     compose_embeddings,
-    identity_embedding,
     joint_distribution,
     mode_partition_embedding,
     possible_internal_states,
@@ -34,10 +33,11 @@ from relfock import (
     tensor_product,
     validate_embedding,
 )
+from relfock.composition import _compose
 from relfock.report import canonical_json
 from relfock.scenario import Scenario, Task
 
-from conftest import qudit_space, random_pair
+from conftest import identity_map, qudit_space, random_pair
 from test_relational import deficient_bell_pair
 
 
@@ -63,10 +63,10 @@ class TestSchmidt:
 
     def test_product_state_single_coefficient(self):
         a, b = qudit_space(3, "a"), qudit_space(2, "b")
-        e = identity_embedding(a, b)
+        e = identity_map(a, b)
         psi = tensor_product(random_state_vector(a, 1), random_state_vector(b, 2))
         dec = schmidt_decompose(StateVector(e.reference_id, psi.amplitudes), e)
-        assert dec.rank == 1
+        assert len(dec.coefficients) == 1
         assert dec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert dec.residual_norm_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -112,8 +112,9 @@ class TestSchmidt:
         assert all(c >= 0 for c in dec.coefficients)
         amat = np.stack([v.amplitudes for v in dec.a_vectors], axis=1)
         bmat = np.stack([v.amplitudes for v in dec.b_vectors], axis=1)
-        np.testing.assert_allclose(amat.conj().T @ amat, np.eye(dec.rank), atol=1e-10)
-        np.testing.assert_allclose(bmat.conj().T @ bmat, np.eye(dec.rank), atol=1e-10)
+        rank = len(dec.coefficients)
+        np.testing.assert_allclose(amat.conj().T @ amat, np.eye(rank), atol=1e-10)
+        np.testing.assert_allclose(bmat.conj().T @ bmat, np.eye(rank), atol=1e-10)
 
 
 def three_qubit_space():
@@ -162,7 +163,7 @@ class TestComposeEmbeddings:
             compose_embeddings(parts)
         assert err.value.report.max_deviation > 0.5
         # the defective map itself can be materialized and inspected
-        broken = compose_embeddings(parts, validate=False)
+        broken = _compose(parts)
         assert not validate_embedding(broken).passed
 
     def test_frozen_conflict_rejected(self):
@@ -177,8 +178,8 @@ class TestComposeEmbeddings:
         parts = [mode_partition_embedding(sp, ["q0"], frozen={"q2": 0}),
                  mode_partition_embedding(sp, ["q2"])]
         # The 0/1 map passes the Gram check although part 1 pins q2 at 0 and
-        # part 2 reads it; validate=False still returns that map.
-        broken = compose_embeddings(parts, validate=False)
+        # part 2 reads it; the unchecked map keeps both.
+        broken = _compose(parts)
         assert validate_embedding(broken).passed
         assert "q2" in broken.partition.subsystem_labels and ("q2", 0) in broken.partition.frozen
         with pytest.raises(ValueError,
@@ -188,7 +189,7 @@ class TestComposeEmbeddings:
         parts[0] = mode_partition_embedding(sp, ["q0"], frozen={"q2": 1})
         with pytest.raises(EmbeddingValidationError) as err:
             compose_embeddings(parts)
-        assert err.value.report == validate_embedding(compose_embeddings(parts, validate=False))
+        assert err.value.report == validate_embedding(_compose(parts))
 
     def test_explicit_isometry_parts_rejected(self):
         a, b, r = qudit_space(2, "a"), qudit_space(2, "b"), qudit_space(5, "r")
@@ -289,13 +290,6 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="inconsistent"):
             joint_distribution(psi, joint, wrong)
 
-    def test_marginalize_method(self):
-        psi, joint, factors = random_multiparty(55, (2, 2), 1, 9)
-        dist = joint_distribution(psi, joint, spectra_for(psi, joint, factors))
-        marg = dist.marginalize(1)
-        assert marg.subsystem_ids == dist.subsystem_ids[:1]
-        np.testing.assert_allclose(marg.probabilities, dist.probabilities.sum(axis=1))
-
 
 def random_joint_case(seed: int):
     """2-3 disjoint mode-partition parties, listed in random order, of a
@@ -383,7 +377,7 @@ class TestJointTask:
         psi, parts = random_joint_case(seed)
         if overlap:
             parts.append(parts[0])
-        composed = compose_embeddings(parts, validate=False)
+        composed = _compose(parts)
         validated, validate = [], relfock.hilbert.validate_embedding
 
         def recording(e, *args, **kwargs):

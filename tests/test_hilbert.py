@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,11 +19,9 @@ from relfock import (
     bell_state,
     build_fock_space,
     charge_values,
-    check_embedding_charge_compatibility,
     check_superselection,
     compose_embeddings,
     embedding_from_isometry,
-    identity_embedding,
     load_scenario,
     mode_partition_embedding,
     random_isometry_embedding,
@@ -34,21 +33,23 @@ from relfock import (
     tensor_product,
     validate_embedding,
 )
+from relfock.composition import _compose
 from relfock.hilbert import Embedding, mode_action, pull_back, push_forward
+from relfock.superselection import _check_compatibility, sector_decomposition
 
-from conftest import mode_matrix, qudit_space, random_pair
+from conftest import identity_map, mode_matrix, qudit_space, random_pair
 
 
 class TestBuildFockSpace:
     def test_single_boson_mode(self):
         sp = build_fock_space([ModeSpec("a", "boson", 2)])
         assert sp.dimension == 3
-        assert [sp.occupation_of(i) for i in range(3)] == [(0,), (1,), (2,)]
+        assert [tuple(row) for row in sp.basis_occupations] == [(0,), (1,), (2,)]
 
     def test_two_fermion_modes(self):
         sp = build_fock_space([ModeSpec("f1", "fermion"), ModeSpec("f2", "fermion")])
         assert sp.dimension == 4
-        assert [sp.occupation_of(i) for i in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [tuple(row) for row in sp.basis_occupations] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_mixed_statistics_product_dimension(self):
         sp = build_fock_space([ModeSpec("b", "boson", 1), ModeSpec("f", "fermion")])
@@ -71,9 +72,9 @@ class TestBuildFockSpace:
             ModeSpec("a", "boson", 2), ModeSpec("f", "fermion"), ModeSpec("b", "boson", 3),
         ])
         for i in range(sp.dimension):
-            assert sp.index_of(sp.occupation_of(i)) == i
+            assert sp.index_of(tuple(sp.basis_occupations[i])) == i
         # and the enumeration is a bijection
-        seen = {sp.occupation_of(i) for i in range(sp.dimension)}
+        seen = {tuple(row) for row in sp.basis_occupations}
         assert len(seen) == sp.dimension
 
     @pytest.mark.parametrize("n_modes", [1, 2, 4])
@@ -101,7 +102,7 @@ class TestBuildFockSpace:
         assert sp.dimension == 1
         assert sp.basis_occupations.shape == (1, 0)
         assert np.array_equal(sp.basis_occupations, expected)
-        assert sp.occupation_of(0) == () and sp.index_of(()) == 0
+        assert tuple(sp.basis_occupations[0]) == () and sp.index_of(()) == 0
         for kind in ("electric", "baryon", "lepton"):
             assert np.array_equal(charge_values(sp, kind), np.zeros(1, dtype=np.int64))
 
@@ -126,7 +127,7 @@ class TestLadderOperators:
         sp = build_fock_space([ModeSpec("f1", "fermion"), ModeSpec("f2", "fermion")])
         expected = np.zeros((4, 4), dtype=complex)
         for idx in range(4):
-            n1, n2 = sp.occupation_of(idx)
+            n1, n2 = sp.basis_occupations[idx]
             if n2 == 0:
                 expected[sp.index_of((n1, 1)), idx] = (-1.0) ** n1
         built = mode_matrix(sp, "f2", "create")
@@ -205,7 +206,7 @@ class TestChargeOperators:
         for kind in ("electric", "baryon", "lepton"):
             vals = charge_values(sp, kind)
             for i in range(sp.dimension):
-                occ = sp.occupation_of(i)
+                occ = sp.basis_occupations[i]
                 manual = sum(n * m.charge(kind) for n, m in zip(occ, sp.modes))
                 assert vals[i] == manual
 
@@ -226,9 +227,10 @@ class TestTensorProduct:
         b = qudit_space(3, "b")
         r = tensor_product(a, b)
         assert r.space_id == "qudit-a(x)qudit-b" and r.mode_labels == ("a", "b")
+        occ_a, occ_b, occ_r = a.basis_occupations, b.basis_occupations, r.basis_occupations
         for i, j in itertools.product(range(2), range(3)):
-            assert r.occupation_of(i * 3 + j) == a.occupation_of(i) + b.occupation_of(j)
-        np.testing.assert_array_equal(identity_embedding(a, b).isometry, np.eye(6))
+            assert tuple(occ_r[i * 3 + j]) == tuple(occ_a[i]) + tuple(occ_b[j])
+        np.testing.assert_array_equal(identity_map(a, b).isometry, np.eye(6))
 
     def test_operator_product_factorizes(self):
         # A mode operator of each factor, applied on the product space, acts
@@ -254,12 +256,12 @@ class TestTensorProduct:
 class TestEmbeddings:
     def test_identity_embedding_validates_exactly(self):
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
-        report = validate_embedding(identity_embedding(a, b))
+        report = validate_embedding(identity_map(a, b))
         assert report.passed and report.max_deviation == 0.0
 
     def test_scaled_column_fails_with_expected_deviation(self):
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
-        e = identity_embedding(a, b)
+        e = identity_map(a, b)
         bad = np.array(e.isometry)
         bad[:, 0] *= 0.5
         broken = Embedding(a, b, e.reference, bad)
@@ -331,7 +333,7 @@ def _selection_oracle(reference, groups, frozen):
     for col, indices in enumerate(columns):
         occ = [frozen.get(label, 0) for label in reference.mode_labels]
         for (space, labels), i in zip(groups, indices):
-            for label, n in zip(labels, space.occupation_of(i)):
+            for label, n in zip(labels, space.basis_occupations[i]):
                 occ[reference.mode_index(label)] += n
         try:
             mat[reference.index_of(occ), col] = 1.0
@@ -379,7 +381,7 @@ class TestSelectionMapOracle:
     @pytest.mark.parametrize("seed", range(60))
     def test_composition_matches_oracle(self, seed):
         ref, parts = _random_composition(seed)
-        composed = compose_embeddings(parts, validate=False)
+        composed = _compose(parts)
         frozen = {l: n for p in parts for l, n in p.partition.frozen}
         groups = [(p.subsystem, p.partition.subsystem_labels) for p in parts]
         groups.append((composed.complementer, composed.partition.complementer_labels))
@@ -388,7 +390,7 @@ class TestSelectionMapOracle:
     @pytest.mark.parametrize("seed", range(60))
     def test_composition_validity_matches_gram_check(self, seed, monkeypatch):
         _, parts = _random_composition(seed)
-        composed = compose_embeddings(parts, validate=False)
+        composed = _compose(parts)
         gram = validate_embedding(composed)
         loose = Tolerances(herm=2.0)
         assert validate_embedding(composed, loose).passed
@@ -397,24 +399,27 @@ class TestSelectionMapOracle:
         clash = any(l in claimed for p in parts for l, _ in p.partition.frozen)
         refused = pytest.raises(ValueError, match="claimed by one part and frozen by another")
 
+        def returned(tol):
+            # Every map compose_embeddings returns is valid at the caller's tol,
+            # claims no frozen label, and is the unchecked map.
+            got = compose_embeddings(parts, tol=tol)
+            assert validate_embedding(got, tol).passed
+            assert not {l for l, _ in got.partition.frozen} & set(got.partition.subsystem_labels)
+            assert np.array_equal(got.rows, composed.rows)
+
         def refuse(self):
             raise AssertionError("compose_embeddings read a dense isometry for a Gram check")
         monkeypatch.setattr(Embedding, "isometry", property(refuse))
         if not gram.passed:
             with pytest.raises(EmbeddingValidationError) as err:
-                compose_embeddings(parts)
+                returned(Tolerances())
             assert err.value.report == gram
-        elif clash:
-            with refused:
-                compose_embeddings(parts)
         else:
-            compose_embeddings(parts)
+            with refused if clash else nullcontext():
+                returned(Tolerances())
         # The Gram check passes any 0/1 map at a tolerance above 1, overlaps included.
-        if clash:
-            with refused:
-                compose_embeddings(parts, tol=loose)
-        else:
-            assert np.array_equal(compose_embeddings(parts, tol=loose).rows, composed.rows)
+        with refused if clash else nullcontext():
+            returned(loose)
 
     def test_shared_rows_without_missing_image(self):
         # Parts built on a space with the reference's id and dimension but
@@ -425,7 +430,7 @@ class TestSelectionMapOracle:
         parts = [mode_partition_embedding(ref, ["z"]),
                  mode_partition_embedding(other, ["a"]),
                  mode_partition_embedding(other, ["a"])]
-        composed = compose_embeddings(parts, validate=False)
+        composed = _compose(parts)
         assert np.abs(composed.isometry).sum(axis=0).min() == 1.0
         gram = validate_embedding(composed)
         assert not gram.passed and gram.max_deviation == 1.0
@@ -437,7 +442,7 @@ class TestSelectionMapOracle:
 def _random_composition(seed):
     """A reference and 1-3 mode-partition parts drawn independently, so they
     often overlap (claim a label twice, or claim a label another part froze);
-    compose_embeddings(parts, validate=False) keeps those defective maps, zero
+    _compose(parts) keeps those defective maps, zero
     columns included."""
     rng = np.random.Generator(np.random.PCG64(1000 + seed))
     ref = _random_reference(rng)
@@ -469,8 +474,7 @@ def _on(reference, part):
 
 def _dense_twin(e):
     """The same map as an explicit isometry, which takes the dense paths."""
-    return embedding_from_isometry(e.subsystem, e.complementer, e.reference, e.isometry,
-                                   validate=False)
+    return Embedding(e.subsystem, e.complementer, e.reference, e.isometry)
 
 
 def _states(reference, seed):
@@ -509,7 +513,12 @@ def _index_map_case(source, seed):
     ref, parts = _random_composition(seed)
     charged = _charged(ref, 100 + seed)
     parts = [_on(charged, p) for p in parts]
-    return compose_embeddings(parts, validate=False), [p.subsystem for p in parts]
+    return _compose(parts), [p.subsystem for p in parts]
+
+
+def _compatibility(e, kind):
+    """The charge compatibility check that check_superselection runs first."""
+    _check_compatibility(e, sector_decomposition(e.reference, kind), Tolerances())
 
 
 def _same_or_close(valid, x, y):
@@ -534,8 +543,7 @@ class TestIndexMapOracle:
         report = validate_embedding(e)
         assert report == validate_embedding(twin)
         for kind in ("electric", "lepton"):
-            assert _outcome(check_embedding_charge_compatibility, e, kind) \
-                == _outcome(check_embedding_charge_compatibility, twin, kind)
+            assert _outcome(_compatibility, e, kind) == _outcome(_compatibility, twin, kind)
         for psi in _states(e.reference, seed):
             assert _same_bits(pull_back(psi, e), pull_back(psi, twin))
             phi = pull_back(psi, e).reshape(-1)
@@ -570,7 +578,7 @@ class TestIndexMapOracle:
         parts = [mode_partition_embedding(ref, ["z"]),
                  mode_partition_embedding(other, ["a"]),
                  mode_partition_embedding(other, ["a"])]
-        e = compose_embeddings(parts, validate=False)
+        e = _compose(parts)
         twin = _dense_twin(e)
         assert validate_embedding(e) == validate_embedding(twin)
         assert not validate_embedding(e).passed
@@ -601,7 +609,7 @@ class TestIndexMapEmbedding:
 
     def test_identity_embedding_is_an_index_map(self):
         a, b = qudit_space(2, "a"), qudit_space(3, "b")
-        e = identity_embedding(a, b)
+        e = identity_map(a, b)
         assert e.rows.tolist() == list(range(6))
         assert np.array_equal(e.isometry, np.eye(6))
 
@@ -697,7 +705,7 @@ class TestProjectOntoImage:
 
     def test_state_inside_image(self):
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
-        e = identity_embedding(a, b)
+        e = identity_map(a, b)
         psi = random_state_vector(e.reference, 7)
         assert relational_state(psi, e).trace_deficit == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(pull_back(psi, e).reshape(-1), psi.amplitudes)
@@ -729,7 +737,7 @@ class TestProjectOntoImage:
 
     def test_space_mismatch(self):
         a, b = qudit_space(2, "a"), qudit_space(2, "b")
-        e = identity_embedding(a, b)
+        e = identity_map(a, b)
         with pytest.raises(SpaceMismatchError):
             pull_back(random_state_vector(a, 1), e)
         with pytest.raises(SpaceMismatchError):

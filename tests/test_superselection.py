@@ -16,7 +16,6 @@ from relfock import (
     bell_state,
     build_fock_space,
     charge_values,
-    check_embedding_charge_compatibility,
     check_superselection,
     embedding_from_isometry,
     evolve,
@@ -28,7 +27,7 @@ from relfock.hilbert import column_charges
 
 from conftest import qudit_space
 from test_dynamics import pair_annihilation_model
-from test_hilbert import _dense_twin, _index_map_case, _outcome, _states
+from test_hilbert import _compatibility, _dense_twin, _index_map_case, _outcome, _states
 
 
 def electron_positron_space():
@@ -73,7 +72,7 @@ class TestSectorDecomposition:
             assert all_indices == list(range(sp.dimension))
             for q, idx in dec.sectors:
                 for i in idx:
-                    occ = sp.occupation_of(i)
+                    occ = sp.basis_occupations[i]
                     assert sum(n * m.charge(kind) for n, m in zip(occ, sp.modes)) == q
 
 
@@ -154,7 +153,7 @@ class TestCheckSuperselection:
         for labels in (["u"], ["d", "l"], ["u", "n"]):
             e = mode_partition_embedding(sp, labels)
             for kind in CHARGE_KINDS:
-                check_embedding_charge_compatibility(e, kind)
+                _compatibility(e, kind)
 
 
 def random_sector_state(space, dec, rng) -> StateVector | None:
@@ -377,7 +376,7 @@ class TestLabelArrayOracle:
             _check_against_references(space, [])
         for x in (e, _dense_twin(e)):
             for kind in CHARGE_KINDS:
-                assert _outcome(check_embedding_charge_compatibility, x, kind) \
+                assert _outcome(_compatibility, x, kind) \
                     == _outcome(_compatibility_reference, x, kind)
 
     def test_scrambled_rows_reach_split_totals(self):
@@ -389,7 +388,7 @@ class TestLabelArrayOracle:
                                   rows=rng.permutation(e.rows))
             for x in (scrambled, _dense_twin(scrambled)):
                 for kind in ("electric", "lepton"):
-                    got = _outcome(check_embedding_charge_compatibility, x, kind)
+                    got = _outcome(_compatibility, x, kind)
                     assert got == _outcome(_compatibility_reference, x, kind)
                     messages.append(got[0][1] if got[0] else "passed")
         assert sum("land in different reference sectors" in m for m in messages) >= 50
@@ -402,9 +401,9 @@ class TestLabelArrayOracle:
             rows = np.argmax(np.abs(e.isometry), axis=0)
             twin = Embedding(e.subsystem, e.complementer, e.reference, rows=rows)
             for x in (e, twin):
-                got = _outcome(check_embedding_charge_compatibility, x, "electric")
+                got = _outcome(_compatibility, x, "electric")
                 assert got == _outcome(_compatibility_reference, x, "electric")
-            messages.append(_outcome(check_embedding_charge_compatibility, e, "electric"))
+            messages.append(_outcome(_compatibility, e, "electric"))
         texts = [err[1] if err else "passed" for err, _ in messages]
         for fragment in ("passed", "outside a single", "land in different reference sectors",
                          "land in the same reference sector"):
