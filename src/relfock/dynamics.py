@@ -11,11 +11,10 @@ support) are propagated, and every other entry stays exactly zero.
 ``SectorEigensystem.propagate`` gives the states at all times as the rows
 of one array, by one of two paths per occupied block: the exact exponential
 through the block's eigenpairs, kept once found, with one broadcast product
-per block size for all times; or a Chebyshev expansion through the block's
-entries alone, one recurrence from t = 0 for every time, its newest terms
-held in a ring of a few s-vectors and added into the output a batch at a
-time, in O(T s + nnz) memory and no BLAS call. A block whose eigenpairs
-exist uses them; any other goes to Chebyshev when s^3 + T s^2 > C (nnz +
+per block size for all times; or a Chebyshev expansion on the block's ELL
+slab (its entries padded to W per row), one recurrence from t = 0 for every
+time, in O(T s + W s) memory and no BLAS call. A block whose eigenpairs
+exist uses them; any other goes to Chebyshev when s^3 + T s^2 > C (W s +
 T s) N, N its term count. Both paths conserve the norm to solver
 precision, and the drift check guards both. ``evolve_trajectory`` computes
 each monitor as one array expression over the support columns; ``evolve``
@@ -163,15 +162,17 @@ class _Blocks:
     """The k conserved blocks of one size s. Row i of idx (k, s) lists the
     basis states of block i in ascending order, entries holds H's nonzero
     entries inside these blocks as (block, row, column, value) in block-local
-    coordinates, each block's row-major, and stats the ``_block_stats``. The
-    eigenpairs w (k, s) and u (k, s, s) are allocated when the first block is
-    diagonalized; done marks the blocks they hold. Once every block is done,
-    both turn read-only and the entries are released."""
+    coordinates, each block's row-major, stats the ``_block_stats``, and slab
+    the ``_ell_slab`` once a block first goes to Chebyshev. The eigenpairs w
+    (k, s) and u (k, s, s) are allocated when the first block is diagonalized;
+    done marks the blocks they hold. Once every block is done, both turn
+    read-only and the entries and slab are released."""
 
     idx: np.ndarray
     entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     done: np.ndarray
     stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    slab: list[tuple[np.ndarray, np.ndarray]] | None = None
     w: np.ndarray | None = None
     u: np.ndarray | None = None
 
@@ -190,7 +191,7 @@ class _Blocks:
             self.done |= pending
             if self.done.all():
                 self.w.flags.writeable = self.u.flags.writeable = False
-                self.entries = None
+                self.entries = self.slab = None
         return self.w[want], self.u[want]
 
     def _diagonalize(self, pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,17 +211,15 @@ class _Blocks:
 
 class SectorEigensystem:
     """H block by block: the connected components of its nonzero pattern,
-    grouped by size. ``blocks`` gives one (indices, eigenvalues,
-    eigenvectors) triple per block size s, stacking the k blocks of that size
-    as read-only arrays of shape (k, s), (k, s) and (k, s, s); row i of
-    indices lists the basis states of one block in ascending order, and H
-    restricted to them is u[i] diag(w[i]) u[i]^dagger.
+    grouped by size. ``blocks`` gives, per block size s, the read-only
+    indices (k, s), ascending per block, eigenvalues w (k, s) and
+    eigenvectors u (k, s, s) of its k blocks: H on block i is u[i] diag(w[i])
+    u[i]^dagger.
 
-    Each block is diagonalized on first need and kept: ``propagate``
-    diagonalizes the occupied blocks that ``_chebyshev_blocks`` does not
-    send to the Chebyshev propagator, ``blocks`` the rest, and no block is
-    diagonalized twice. A lock guards the first need, so concurrent use
-    diagonalizes each block once too."""
+    Each block is diagonalized on first need and kept: ``propagate`` the
+    occupied blocks that ``_chebyshev_blocks`` keeps on eigh, ``blocks`` the
+    rest. A lock guards the first need, so no block is diagonalized twice,
+    concurrent use included."""
 
     def __init__(self, groups: Sequence[_Blocks]):
         self._groups = tuple(groups)
@@ -242,15 +241,13 @@ class SectorEigensystem:
         the support is exactly +0. No time, no work.
 
         Each occupied block takes one of two paths, by a rule that reads the
-        block alone (``_chebyshev_blocks``: s^3 + T s^2 against C (nnz + T s)
-        N, and a block whose eigenpairs exist always takes them):
+        block alone (``_chebyshev_blocks``; a block whose eigenpairs exist
+        always takes them):
         - through its eigenpairs, diagonalizing it first if need be: per
-          block size, the phases at all times form one (T, k, s) array and
-          u (e^{-iwt} (u^dagger a)) at every time is one broadcast product
-          (T, k, 1, s) @ (k, s, s), with u^dagger a computed once;
-        - through its entries alone (``_chebyshev_states``): one recurrence
-          for every time, its terms added into the output a batch at a time,
-          no s x s array, no BLAS call and nothing kept."""
+          block size, u (e^{-iwt} (u^dagger a)) at all times is one broadcast
+          product (T, k, 1, s) @ (k, s, s), with u^dagger a computed once;
+        - through its ELL slab (``_chebyshev_states``), built once per block
+          size: one recurrence for every time, no s x s array, no BLAS call."""
         times = np.asarray(times, dtype=np.float64)
         out = np.zeros((len(times), len(amplitudes)), dtype=np.complex128)
         support = [np.zeros(0, dtype=np.int64)]
@@ -261,13 +258,14 @@ class SectorEigensystem:
                 continue
             with self._lock:
                 chosen = _chebyshev_blocks(g, occupied, times)
-                entries = g.entries
+                if chosen and g.slab is None:
+                    g.slab = _ell_slab(g)
+                slab = g.slab
             for b, n in chosen:
-                cols, mine = g.idx[b], (entries[0] == b) if len(g.idx) > 1 else slice(None)
+                cols = g.idx[b]
                 run = cols[-1] - cols[0] == len(cols) - 1  # then out[:, run] is a view
                 block = out[:, cols[0]:cols[-1] + 1] if run else np.zeros_like(out[:, :len(cols)])
-                _chebyshev_states(*(e[mine] for e in entries[1:]), a[b], times,
-                                  *(v[b] for v in g.stats[1:]), n, block)
+                _chebyshev_states(*slab[b], a[b], times, *(v[b] for v in g.stats[1:]), n, block)
                 if not run:
                     out[:, cols] = block
                 support.append(cols)
@@ -294,15 +292,16 @@ class SectorEigensystem:
 
 
 # The rule's constant: s^3 + T s^2 stands for the eigh and its T per-time
-# products, (nnz + T s) N for N sparse products and N terms summed into the
-# (T, s) output, a batch of terms per pass. A sweep (creation and number terms
-# on each mode, s = 64-2048, t <= 2; half-filled chains, s = 20-924, t <= 4;
-# T = 1-2000; 2 cores, 1 and 2 BLAS threads, best of 7, 3 at s = 2048) found
-# Chebyshev faster on every block of more than 70 states and at every ratio
-# above 16.0; eigh won at ratios up to 16.0, on blocks of 20-70 states only,
-# and Chebyshev down to 1.17 (s = 70, T = 2000), so no C splits the sweep.
-# Of the C >= 4, which keep 2-state blocks off the rule, 12 misroutes fewest
-# (26 of 114 cases); ties: eigh.
+# products, (W s + T s) N for N products on the (W, s) slab and N terms summed
+# into the (T, s) output, a batch of terms per pass. A sweep (creation and
+# number terms on each mode, s = 64-2048, t <= 2; half-filled chains, s =
+# 20-924, t <= 4; T = 1-2000; 2 cores, 1 and 2 BLAS threads, best of 7, 3 at
+# s = 2048), priced by nnz before the slab, found Chebyshev faster on every
+# block of more than 70 states and at every ratio above 16.0; eigh won at
+# ratios up to 16.0, on blocks of 20-70 states only, and Chebyshev down to
+# 1.17 (s = 70, T = 2000), so no C splits the sweep. Of the C >= 4, which keep
+# 2-state blocks off the rule, 12 misroutes fewest (26 of 114 cases); ties:
+# eigh. W s is nnz + 1 on a kicked block and 2 nnz on a half-filled chain.
 _CHEBYSHEV_COST = 12.0
 
 
@@ -336,14 +335,14 @@ def _bessel_j(x: np.ndarray, n: int) -> np.ndarray:
 def _chebyshev_blocks(g: _Blocks, occupied: np.ndarray,
                       times: np.ndarray) -> list[tuple[int, int]]:
     """The propagator rule: the occupied blocks of g not diagonalized yet where
-    r max|t| > 0 and s^3 + T s^2 > _CHEBYSHEV_COST (nnz + T s) N', each with N'
-    = ``_order``(r max|t|, 55) >= the term count. The cost stays in floats: a
-    non-finite r max|t| fails the floor N' > r max|t| and takes eigh."""
+    r max|t| > 0 and s^3 + T s^2 > _CHEBYSHEV_COST (W s + T s) N', W s the slab
+    size, each with N' = ``_order``(r max|t|, 55) >= the term count. The cost
+    stays in floats: a non-finite r max|t| fails N' > r max|t| and takes eigh."""
     if g.stats is None or not len(times):
         return []
     s, blocks = g.idx.shape[1], np.flatnonzero(occupied & ~g.done)
-    nnz, _, radius = (v[blocks] for v in g.stats)
-    eigh, per_term = s ** 3 + len(times) * s ** 2, nnz + len(times) * s
+    size, _, radius = (v[blocks] for v in g.stats)
+    eigh, per_term = s ** 3 + len(times) * s ** 2, size + len(times) * s
     with np.errstate(over="ignore", invalid="ignore"):
         reach = radius * np.abs(times).max()
         maybe = (reach > 0) & (eigh > _CHEBYSHEV_COST * per_term * np.maximum(reach, 1))
@@ -351,31 +350,30 @@ def _chebyshev_blocks(g: _Blocks, occupied: np.ndarray,
             if eigh > _CHEBYSHEV_COST * cost * (n := _order(x, 55))]
 
 
-def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.ndarray,
+def _chebyshev_states(cols: np.ndarray, vals: np.ndarray, a: np.ndarray,
                       times: np.ndarray, centre: float, radius: float, n: int,
                       out: np.ndarray) -> int:
     """Add exp(-i H t) a at each time into the rows of out (T, s), zero on
-    entry, for one block given by its row-sorted entries, the centre c and
-    half-width r of an interval holding its spectrum, and a bound n on the
-    term count N, which is returned: the Chebyshev expansion (Tal-Ezer and
-    Kosloff, J. Chem. Phys. 81, 3967 (1984)) e^{-ict} sum_{k<=N} (2 -
+    entry, for one block given by its ELL slab (``_ell_slab``), the centre c
+    and half-width r of an interval holding its spectrum, and a bound n on
+    the term count N, which is returned: the Chebyshev expansion (Tal-Ezer
+    and Kosloff, J. Chem. Phys. 81, 3967 (1984)) e^{-ict} sum_{k<=N} (2 -
     delta_k0) J_k(r t) v_k, v_k = (-i)^k T_k(H~) a, H~ = (H - c) / r, from
     v_0 = a, v_1 = -i H~ a, v_{k+1} = -2i H~ v_k + v_{k-1}, whose dropped terms
     sum below 2^-53 at r max|t| and so at every smaller |t|. One recurrence
-    serves every time. The newest m = min(N + 1, max(3, 8192 // s)) v_k
-    wait in a ring of s-vectors (128 KB, or 3 vectors past s = 2730), which
-    also gives v_{k-1} and v_{k-2}; each full ring, then the last partial
-    one, is added into out as one product sum_k (2 - delta_k0) J_k(r t) v_k,
-    a chunk of times at a time through 64 KB of scratch, so out is read and
-    written once per m terms, not once per term. The product is numpy's own
-    einsum loop: no BLAS routine is called. c enters only when c != 0."""
-    starts, scaled = np.flatnonzero(np.diff(row, prepend=-1)), val * (-2j / radius)
+    serves every time, each term one gather, one product and one sum over
+    the slab's W rows. The newest m = min(N + 1, max(3, 8192 // s)) v_k wait
+    in a ring of s-vectors (128 KB, or 3 past s = 2730), which also gives
+    v_{k-1} and v_{k-2}; each full ring, then the last partial one, is added
+    into out as one einsum (numpy's own loop, no BLAS) sum_k (2 - delta_k0)
+    J_k(r t) v_k, a chunk of times at a time through 64 KB of scratch, so out
+    is read and written once per m terms. e^{-ict} is applied when c != 0."""
     bessel = _bessel_j(radius * times, n)
     # 2 sum_{i>=k} |J_i|; the terms past the bound n sum below 2^-54 more
     tail = 2 * np.cumsum(np.abs(bessel[::-1, np.abs(times).argmax()]))
     terms = 1 + int((tail[:-2] >= 2.0 ** -54).sum())
     bessel[1:terms + 1] *= 2  # the factor 2 - delta_k0
-    flat, work = out.view(np.float64), np.empty(len(val), dtype=np.complex128)
+    flat, work = out.view(np.float64), np.empty(vals.shape, dtype=np.complex128)
     rows = max(1, (1 << 12) // len(a))  # 64 KB of scratch per chunk of times
     scratch = np.empty((min(rows, len(times)), flat.shape[1]))
     ring = np.empty((min(terms + 1, max(3, (1 << 13) // len(a))), len(a)), dtype=np.complex128)
@@ -384,10 +382,8 @@ def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.n
         for k in range(max(first, 1), min(first + m, terms + 1)):
             # -2i H~ v_{k-1}, then + v_{k-2}, or / 2 for v_1
             v, step = ring[(k - 1) % m], ring[k % m]
-            v.take(col, out=work, mode="clip")  # clip: no buffered copy; col is in range
-            np.add.reduceat(np.multiply(work, scaled, out=work), starts, out=step)
-            if centre:
-                step += (2j * centre / radius) * v
+            v.take(cols, out=work, mode="clip")  # clip: no buffered copy; cols are in range
+            np.add.reduce(np.multiply(work, vals, out=work), axis=0, out=step)
             if k > 1:
                 step += ring[(k - 2) % m]
             else:
@@ -405,17 +401,42 @@ def _chebyshev_states(row: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.n
 
 def _block_stats(k: int, s: int, block: np.ndarray, row: np.ndarray, col: np.ndarray,
                  val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Each block's entry count and the centre and half-width of its
-    Gershgorin span [min(H_ii - R_i), max(H_ii + R_i)], R_i = sum_{j != i}
-    |H_ij|, which holds its spectrum; None if s^2 <= _CHEBYSHEV_COST, when the
-    rule never picks Chebyshev: s^3 + T s^2 <= C s (1 + T) <= C (nnz + T s) N'."""
+    """Each block's slab size W s (W = 1 + its most off-diagonal entries in a
+    row) and the centre and half-width of its Gershgorin span [min(H_ii -
+    R_i), max(H_ii + R_i)], R_i = sum_{j != i} |H_ij|, which holds its
+    spectrum; None if s^2 <= C, as then s^3 + T s^2 <= C (W s + T s) N'."""
     if s * s <= _CHEBYSHEV_COST:
         return None
     on, at, mag = row == col, block * s + row, np.abs(val)
+    width = 1 + np.bincount(at[~on], minlength=k * s).reshape(k, s).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         lo = np.bincount(at, np.where(on, val.real, -mag), k * s).reshape(k, s).min(axis=1)
         hi = np.bincount(at, np.where(on, val.real, mag), k * s).reshape(k, s).max(axis=1)
-        return np.bincount(block, minlength=k), (hi + lo) / 2, (hi - lo) / 2
+        return width * s, (hi + lo) / 2, (hi - lo) / 2
+
+
+def _ell_slab(g: _Blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each block's ELL slab (Bell and Garland, SC'09), columns and values (W,
+    s) with -2i H~ v = sum_j vals[j] v[cols[j]]: slot 0 holds H_ii - c, the
+    next each row's off-diagonal entries in column order, padded with the
+    row's own column and value 0; every value is scaled by -2i / r."""
+    (block, row, col, val), (size, centre, radius) = g.entries, g.stats
+    (k, s), ends = g.idx.shape, np.cumsum(size)
+    base = np.repeat(ends - size, s) + np.tile(np.arange(s), k)  # slot 0 of each row
+    cols, vals = np.tile(np.arange(s), ends[-1] // s), np.zeros(ends[-1], dtype=val.dtype)
+    at, on = block * s + row, row == col
+    off = np.flatnonzero(~on)
+    # a row's entries are adjacent: each sits in slot 1 + its place in the run
+    first = np.flatnonzero(np.diff(at_off := at[off], prepend=-1))
+    slot = np.arange(1, len(off) + 1) - np.repeat(first, np.diff(first, append=len(off)))
+    place = base[at_off] + slot * s
+    cols[place], vals[place] = col[off], val[off]
+    vals[base] = np.repeat(-centre, s)
+    with np.errstate(all="ignore"):  # blocks the rule prices out may overflow
+        vals[base[at[on]]] += val[on]
+        vals = vals * np.repeat((-2 / radius) * 1j, size)
+    return [(c.reshape(-1, s), v.reshape(-1, s))
+            for c, v in zip(np.split(cols, ends[:-1]), np.split(vals, ends[:-1]))]
 
 
 def _sector_eigensystem(h: HamiltonianSpec) -> SectorEigensystem:

@@ -19,7 +19,8 @@ A scenario is a JSON document with schema tag "relfock.scenario/1":
       "embeddings": [
         {"name": "AB", "kind": "mode_partition", "reference": "R",
          "subsystem_modes": ["e-"], "frozen": {"photon": 0},        // frozen optional
-         "subsystem_id": "A", "complementer_id": "B"},              // optional strings
+         "subsystem_id": "e", "complementer_id": "rest"},           // optional; distinct,
+                                                                    // and no space's id
         {"name": "V", "kind": "isometry", "reference": "R",
          "subsystem": "A", "complementer": "B", "matrix": [[[re, im], ...], ...]}
       ],
@@ -290,6 +291,11 @@ def _build_embedding(entry: Mapping[str, Any], pools: Mapping[str, Mapping],
         for key, value in ids.items():
             if value is not None and not isinstance(value, str):
                 raise ScenarioError(f"{where}: {key} must be a string, got {value!r}")
+            if value in spaces:  # a payload's "space" must name one space
+                raise ScenarioError(f"{where}: {key} {value!r} is a declared space id")
+        if ids["subsystem_id"] is not None and ids["subsystem_id"] == ids["complementer_id"]:
+            raise ScenarioError(f"{where}: subsystem_id and complementer_id are both "
+                                f"{ids['subsystem_id']!r}")
         return mode_partition_embedding(
             reference,
             subsystem_labels=sub,

@@ -65,6 +65,26 @@ def _minimal(edit):
     return json.dumps(doc).encode()
 
 
+def _second_space(doc, complementer_id):
+    doc["spaces"].append({"id": "V", "modes": [{"label": "v", "max_occupation": 1}]})
+    doc["embeddings"][0].update(complementer_id=complementer_id)
+
+
+# Factor ids a payload could not tell apart from another space's: (edit of
+# annihilation.json, the exact load error).
+ID_CLASHES = {
+    "factor-ids-equal": (
+        lambda doc: doc["embeddings"][0].update(subsystem_id="X", complementer_id="X"),
+        "embeddings[0] ('electron_sector'): subsystem_id and complementer_id are both 'X'"),
+    "subsystem-id-is-the-reference": (
+        lambda doc: doc["embeddings"][0].update(subsystem_id="U"),
+        "embeddings[0] ('electron_sector'): subsystem_id 'U' is a declared space id"),
+    "complementer-id-is-another-space": (
+        lambda doc: _second_space(doc, "V"),
+        "embeddings[0] ('electron_sector'): complementer_id 'V' is a declared space id"),
+}
+
+
 # (edited scenario bytes, the exact load error): each location level once, from
 # a mode or a term inside an entry out to a task and a whole section.
 LOAD_MESSAGES = {
@@ -101,6 +121,8 @@ LOAD_MESSAGES = {
     "embeddings-not-list": (
         lambda: edited("bell", lambda doc: doc.update(embeddings={"electron": 1})),
         "embeddings: expected a list"),
+    **{case: (lambda edit=edit: edited("annihilation", edit), message)
+       for case, (edit, message) in ID_CLASHES.items()},
 }
 
 
@@ -383,6 +405,23 @@ class TestCliContract:
         proc = run_cli(str(path))
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr and b"error" in proc.stderr
+
+    @pytest.mark.parametrize("case", list(ID_CLASHES), ids=str)
+    def test_clashing_factor_id_exits_2(self, tmp_path, case):
+        edit, message = ID_CLASHES[case]
+        path = tmp_path / "scenario.json"
+        path.write_bytes(edited("annihilation", edit))
+        proc = run_cli(str(path))
+        assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+        assert message.encode() in proc.stderr
+
+    def test_distinct_factor_ids_name_the_reduced_space(self, tmp_path):
+        # ids that are neither equal nor a space's id still load, beside a second space
+        path = tmp_path / "scenario.json"
+        path.write_bytes(edited("annihilation", lambda doc: (
+            _second_space(doc, "positron"), doc["embeddings"][0].update(subsystem_id="e"))))
+        report = run_scenario(load_scenario(path))
+        assert report.tasks[0].result["space"] == "e"
 
     def test_overflowing_evolution_fails_the_trajectory_task(self, tmp_path):
         # Phases w t overflow at this coupling, so later states are NaN.

@@ -38,6 +38,7 @@ from relfock import (
 )
 from relfock import dynamics
 from relfock.dynamics import _ENERGY_CHUNK, SectorEigensystem, _hermiticity_deviation
+from relfock.runner import COMMANDS
 
 from conftest import dense_matrix, mode_matrix, qudit_space, spectral_norm
 
@@ -1000,9 +1001,9 @@ def taylor_calls(monkeypatch):
     makes, in call order."""
     seen, chebyshev = [], dynamics._chebyshev_states
 
-    def counting(row, col, val, a, *args):
+    def counting(cols, vals, a, *args):
         seen.append(len(a))
-        return chebyshev(row, col, val, a, *args)
+        return chebyshev(cols, vals, a, *args)
     monkeypatch.setattr(dynamics, "_chebyshev_states", counting)
     return seen
 
@@ -1027,6 +1028,54 @@ def _reports_at_one_and_two_blas_threads(path):
                                "machine"], capture_output=True, env=env, check=True)
         outputs.append(proc.stdout)
     return outputs
+
+
+def _slab_group(mats):
+    """A ``_Blocks`` holding the given s x s Hermitian matrices as its k
+    blocks, with the entries of each row adjacent and in column order and the
+    blocks' rows interleaved, as the block search leaves them; a block need
+    not be connected."""
+    mats = np.asarray(mats)
+    k, s = len(mats), mats.shape[1]
+    block, row, col = np.nonzero(mats)
+    order = np.lexsort((col, row * k + block))  # by basis state r k + b, then column
+    entries = tuple(x[order] for x in (block, row, col, mats[block, row, col]))
+    idx = np.arange(k * s).reshape(s, k).T
+    return dynamics._Blocks(idx, entries, np.zeros(k, dtype=bool),
+                            dynamics._block_stats(k, s, *entries))
+
+
+def _uneven_blocks(seed, shifted):
+    """Two complex Hermitian 40-state blocks: a random pattern whose rows hold
+    from none (row 0) to about a dozen off-diagonal entries, and a ring with
+    two in every row. Zero diagonals make each Gershgorin interval symmetric,
+    c = 0 exactly; shifted puts a diagonal in [0.5, 2] on both."""
+    rng, s = np.random.default_rng(seed), 40
+    upper = np.triu(rng.random((s, s)) < np.linspace(0.0, 0.6, s)[:, None], 1)
+    upper[0] = upper[:, 0] = False
+    ring = np.roll(np.eye(s, dtype=bool), 1, axis=1)
+    mats = []
+    for pattern in (upper, ring):
+        mat = np.where(pattern, rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s)), 0)
+        mats.append(mat + mat.conj().T + np.diag(rng.uniform(0.5, 2.0, s) * shifted))
+    return mats
+
+
+def _assert_close_payloads(left, right, where):
+    """Two parsed report payloads with the same structure and strings, and
+    numbers within 1e-12."""
+    if isinstance(left, dict):
+        assert sorted(left) == sorted(right), where
+        for key in left:
+            _assert_close_payloads(left[key], right[key], f"{where}.{key}")
+    elif isinstance(left, list):
+        assert len(left) == len(right), where
+        for i, (a, b) in enumerate(zip(left, right)):
+            _assert_close_payloads(a, b, f"{where}[{i}]")
+    elif isinstance(left, float):
+        assert isinstance(right, float) and abs(left - right) <= 1e-12, where
+    else:
+        assert left == right, where
 
 
 TAYLOR_GRIDS = {"uneven": [0.0, 0.05, 0.37, 0.4, 1.9, 3.0],
@@ -1134,6 +1183,31 @@ class TestTaylorPath:
         assert 1024 ** 3 <= dynamics._CHEBYSHEV_COST * (nnz + 2000 * 1024) * n
         assert [b for b, _ in dynamics._chebyshev_blocks(g, np.ones(1, dtype=bool), times)] == [0]
 
+    def test_rule_prices_the_slab_of_a_star_block(self, eigh_calls, taylor_calls):
+        # explicit triplets: row 0 touches every column, so the block has
+        # 3 s - 2 entries but its slab is s x s
+        s, t, rng = 256, 1.0, np.random.default_rng(9)
+        leaves, hub = np.arange(1, s), np.zeros(s - 1, dtype=np.int64)
+        spokes = rng.uniform(0.02, 0.06, s - 1)
+        h = HamiltonianSpec(qudit_space(s, "a", "star"), (),
+                            np.concatenate([hub, leaves, np.arange(s)]),
+                            np.concatenate([leaves, hub, np.arange(s)]),
+                            np.concatenate([spokes, spokes, rng.uniform(-1.0, 1.0, s)]))
+        g, = h.eigensystem._groups
+        (size,), _, (radius,) = g.stats
+        n = dynamics._order(radius * t, 55)
+        assert len(h.vals) == 3 * s - 2 and size == s * s
+        # priced by its entries the block would go to Chebyshev; by its slab, to eigh
+        assert s ** 3 + s ** 2 > dynamics._CHEBYSHEV_COST * (len(h.vals) + s) * n
+        assert s ** 3 + s ** 2 <= dynamics._CHEBYSHEV_COST * (size + s) * n
+        assert dynamics._chebyshev_blocks(g, np.ones(1, dtype=bool), np.array([t])) == []
+        psi = random_state_vector(h.space, 9)
+        state = evolve(psi, h, t)
+        assert taylor_calls == [] and [a.shape for a in eigh_calls] == [(1, s, s)]
+        np.testing.assert_allclose(state.amplitudes,
+                                   expm(-1j * t * dense_matrix(h)) @ psi.amplitudes,
+                                   rtol=0, atol=1e-12)
+
     def test_chain_matches_slater_determinants(self, eigh_calls, taylor_calls):
         # an independent reference: N free fermions evolve as the Slater
         # determinants of the single-particle propagator exp(-i t h1)
@@ -1218,10 +1292,13 @@ class TestTaylorPath:
         for h in (_one_block(seed, 16 + 16 * seed, complex_vals), _chain()):
             dense = dense_matrix(h)
             for g in h.eigensystem._groups:
-                nnz, centre, radius = g.stats
+                size, centre, radius = g.stats
                 for i, idx in enumerate(g.idx):
-                    assert nnz[i] == np.count_nonzero(dense[np.ix_(idx, idx)])
-                    w = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+                    sub = dense[np.ix_(idx, idx)]
+                    # the slab: a diagonal slot and the most off-diagonal entries of a row
+                    off = np.count_nonzero(sub - np.diag(np.diag(sub)), axis=1)
+                    assert size[i] == len(idx) * (1 + off.max())
+                    w = np.linalg.eigvalsh(sub)
                     slack = 1e-12 * max(radius[i], 1.0)  # rounding of the sums only
                     assert centre[i] - radius[i] - slack <= w.min()
                     assert w.max() <= centre[i] + radius[i] + slack
@@ -1317,6 +1394,39 @@ class TestTaylorPath:
                                        rtol=0, atol=1e-12)
         if not centre:  # the t = 0 row is 1 v_0 plus exact zeros
             assert traj.states[0].amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n_times", [1, 20])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["centred", "shifted"])
+    def test_slab_kernel_matches_expm(self, shifted, n_times):
+        mats = _uneven_blocks(3 + n_times, shifted)
+        g = _slab_group(mats)
+        size, centre, radius = g.stats
+        assert ((centre != 0) == shifted).all()
+        times = np.linspace(0.0, 2.0, n_times) if n_times > 1 else np.array([1.3])
+        a = random_state_vector(qudit_space(40, "a"), n_times).amplitudes
+        for mat, (cols, vals), c, r, w in zip(mats, dynamics._ell_slab(g), centre, radius, size):
+            off = mat - np.diag(np.diag(mat))
+            counts = np.count_nonzero(off, axis=1)
+            assert cols.shape == vals.shape == (1 + counts.max(), 40) and w == vals.size
+            # slot 0: H_ii - c; then each row's entries in column order; then
+            # padding, the row's own column with value 0; all times -2i/r
+            assert np.array_equal(cols[0], np.arange(40))
+            np.testing.assert_allclose(vals[0], (np.diag(mat) - c) * (-2j / r), rtol=1e-15)
+            for i, j in enumerate(map(np.flatnonzero, off)):
+                assert np.array_equal(cols[1:1 + len(j), i], j)
+                np.testing.assert_allclose(vals[1:1 + len(j), i], off[i, j] * (-2j / r),
+                                           rtol=1e-15)
+                assert (cols[1 + len(j):, i] == i).all() and (vals[1 + len(j):, i] == 0).all()
+            out = np.zeros((len(times), 40), dtype=np.complex128)
+            n = dynamics._order(r * times.max(), 55)
+            assert dynamics._chebyshev_states(cols, vals, a, times, c, r, n, out) <= n
+            for t, state in zip(times, out):
+                np.testing.assert_allclose(state, expm(-1j * t * mat) @ a, rtol=0, atol=1e-12)
+            if times[0] == 0:  # the t = 0 row is 1 v_0 plus exact zeros, times e^0
+                assert out[0].tobytes() == a.tobytes()
+        # the padding is live: the first block's rows hold from none to many
+        counts = np.count_nonzero(mats[0] - np.diag(np.diag(mats[0])), axis=1)
+        assert counts[0] == 0 and counts.max() >= 8 and len(set(counts)) > 5
 
     def test_long_grid_matches_expm_in_o_ts_memory(self, monkeypatch, eigh_calls, taylor_calls):
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
@@ -1440,3 +1550,57 @@ class TestTaylorPath:
         assert taylor_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
         outputs = _reports_at_one_and_two_blas_threads(path)
         assert outputs[0] == outputs[1] == report.to_machine_bytes()
+
+    def test_every_command_at_one_and_two_blas_threads(self, tmp_path, eigh_calls,
+                                                       taylor_calls):
+        # the kicked 1024-state block on the Chebyshev path, and every command;
+        # the 256-state subsystem's spectrum is a BLAS eigh
+        labels = [f"q{i}" for i in range(10)]
+
+        def partition(name, modes, frozen=None):
+            return {"name": name, "kind": "mode_partition", "reference": "Q",
+                    "subsystem_modes": modes, "frozen": frozen or {}}
+        doc = {
+            "schema": "relfock.scenario/1",
+            "spaces": [{"id": "Q", "modes": [
+                {"label": q, "max_occupation": 1, "statistics": "fermion",
+                 "charges": {"electric": (-1) ** i}} for i, q in enumerate(labels)]}],
+            "states": [{"name": "phi", "space": "Q", "kind": "random", "seed": 8}],
+            "embeddings": [partition("half", labels[:5], {labels[-1]: 0}),
+                           partition("big", labels[:8]), partition("left", labels[:3]),
+                           partition("middle", labels[3:6])],
+            "hamiltonians": [{"name": "kicked", "space": "Q", "terms": [
+                {"coefficient": 0.3 + 0.05 * i, "factors": [["create", q]]}
+                for i, q in enumerate(labels)] + [
+                {"coefficient": 0.6 + 0.1 * i, "factors": [["number", q]]}
+                for i, q in enumerate(labels)]}],
+            "tasks": [
+                {"command": "reduce", "name": "rho", "state": "phi", "embedding": "half"},
+                {"command": "spectrum", "name": "levels", "state": "phi", "embedding": "big"},
+                {"command": "schmidt", "name": "split", "state": "phi", "embedding": "big"},
+                {"command": "joint", "name": "both", "state": "phi",
+                 "embeddings": ["left", "middle"]},
+                {"command": "check-ssr", "name": "ssr", "state": "phi", "embedding": "half",
+                 "kind": "electric"},
+                {"command": "sample", "name": "draws", "state": "phi", "embedding": "half",
+                 "count": 50, "seed": 3},
+                {"command": "trace-trajectory", "name": "curve", "state": "phi",
+                 "hamiltonian": "kicked", "embedding": "half",
+                 "times": {"start": 0.0, "stop": 2.0, "num": 20}},
+                {"command": "evolve", "name": "later", "state": "phi",
+                 "hamiltonian": "kicked", "t": 1.3},
+            ],
+        }
+        assert sorted(t["command"] for t in doc["tasks"]) == sorted(COMMANDS)
+        path = tmp_path / "every.json"
+        path.write_text(json.dumps(doc))
+        report = run_scenario(load_scenario(str(path)))
+        assert all(t.status == "ok" for t in report.tasks)
+        assert taylor_calls == [1024, 1024]
+        one, two = ({t["name"]: t for t in json.loads(out)["tasks"]}
+                    for out in _reports_at_one_and_two_blas_threads(path))
+        for name, task in one.items():
+            if task["command"] in ("evolve", "trace-trajectory"):
+                assert json.dumps(task) == json.dumps(two[name])
+            else:
+                _assert_close_payloads(task, two[name], name)
