@@ -165,11 +165,10 @@ class _Blocks:
     coordinates, each block's row-major, stats the ``_block_stats``, and slab
     the ``_ell_slab`` once a block first goes to Chebyshev. The eigenpairs w
     (k, s) and u (k, s, s) are allocated when the first block is diagonalized;
-    done marks the blocks they hold. Once every block is done, both turn
-    read-only and the entries and slab are released."""
+    done marks the blocks they hold."""
 
     idx: np.ndarray
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     done: np.ndarray
     stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     slab: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -189,9 +188,6 @@ class _Blocks:
                 self.w, self.u = np.empty((k, s)), np.empty((k, s, s), dtype=np.complex128)
             self.w[pending], self.u[pending] = w, u
             self.done |= pending
-            if self.done.all():
-                self.w.flags.writeable = self.u.flags.writeable = False
-                self.entries = self.slab = None
         return self.w[want], self.u[want]
 
     def _diagonalize(self, pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,26 +207,16 @@ class _Blocks:
 
 class SectorEigensystem:
     """H block by block: the connected components of its nonzero pattern,
-    grouped by size. ``blocks`` gives, per block size s, the read-only
-    indices (k, s), ascending per block, eigenvalues w (k, s) and
-    eigenvectors u (k, s, s) of its k blocks: H on block i is u[i] diag(w[i])
-    u[i]^dagger.
+    grouped by size, the k blocks of each size one ``_Blocks``, whose
+    eigenpairs give H on block i as u[i] diag(w[i]) u[i]^dagger.
 
-    Each block is diagonalized on first need and kept: ``propagate`` the
-    occupied blocks that ``_chebyshev_blocks`` keeps on eigh, ``blocks`` the
-    rest. A lock guards the first need, so no block is diagonalized twice,
-    concurrent use included."""
+    ``propagate`` diagonalizes an occupied block that ``_chebyshev_blocks``
+    keeps on eigh on first need, and keeps it. A lock guards the first need,
+    so no block is diagonalized twice, concurrent use included."""
 
     def __init__(self, groups: Sequence[_Blocks]):
         self._groups = tuple(groups)
         self._lock = threading.Lock()
-
-    @property
-    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        with self._lock:
-            for g in self._groups:
-                g.eigenpairs(slice(None))
-        return tuple((g.idx, g.w, g.u) for g in self._groups)
 
     def propagate(self, amplitudes: np.ndarray,
                   times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ a crash of the run.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any, Callable, Mapping
 
@@ -200,17 +201,10 @@ def _run_trace_trajectory(scenario: Scenario, params, tol: Tolerances, seed) -> 
 
 
 def _run_check_ssr(scenario: Scenario, params, tol: Tolerances, seed) -> dict:
-    report = check_superselection(scenario.states[_required(params, "state")],
-                                  scenario.embeddings[_required(params, "embedding")],
-                                  _required(params, "kind"), tol)
-    return {
-        "charge_kind": report.charge_kind,
-        "reference_charge": report.reference_charge,
-        "applicable": report.applicable,
-        "off_block_max": report.off_block_max,
-        "passed": report.passed,
-        "tolerance": report.tolerance,
-    }
+    return dataclasses.asdict(check_superselection(
+        scenario.states[_required(params, "state")],
+        scenario.embeddings[_required(params, "embedding")],
+        _required(params, "kind"), tol))
 
 
 def _run_sample(scenario: Scenario, params, tol: Tolerances, seed) -> dict:

@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -46,9 +48,41 @@ def dense_matrix(h) -> np.ndarray:
     return out
 
 
+def block_eigenpairs(h) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Reference eigenpairs of a Hamiltonian's conserved blocks: per block
+    size s, the k blocks' indices (k, s) as its eigensystem lists them, and
+    w (k, s) and complex u (k, s, s) from np.linalg.eigh on each block
+    scattered from h's triplets into an s x s matrix (real when H is)."""
+    vals = h.vals if h.vals.imag.any() else h.vals.real
+    place = np.full(h.space.dimension, -1)
+    out = []
+    for g in h.eigensystem._groups:
+        idx = g.idx
+        k, s = idx.shape
+        place[idx.ravel()] = np.arange(idx.size)  # block * s + row
+        at, to = place[h.rows], place[h.cols]
+        inside = (at >= 0) & (to >= 0)
+        mats = np.zeros((k, s, s), dtype=vals.dtype)
+        mats[at[inside] // s, at[inside] % s, to[inside] % s] = vals[inside]
+        place[idx.ravel()] = -1
+        w, u = np.linalg.eigh(mats)
+        out.append((idx, w, u.astype(np.complex128)))
+    return out
+
+
 def spectral_norm(h) -> float:
-    """max |eigenvalue| of a Hamiltonian, from every block of its eigensystem."""
-    return float(max(np.abs(w).max() for _, w, _ in h.eigensystem.blocks))
+    """max |eigenvalue| of a Hamiltonian, from the reference eigenpairs of
+    its blocks."""
+    return float(max(np.abs(w).max() for _, w, _ in block_eigenpairs(h)))
+
+
+@contextmanager
+def raises_exactly(kind: type[BaseException], message: str):
+    """Expect an exception of exactly this type (no subclass) whose one
+    argument is exactly this message."""
+    with pytest.raises(kind) as info:
+        yield
+    assert type(info.value) is kind and info.value.args == (message,)
 
 
 def random_pair(seed: int, max_side: int = 8, max_ref: int = 64):

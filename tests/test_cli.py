@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import importlib
+import inspect
 import io
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,8 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relfock
 import relfock.scenario
-from relfock import ScenarioError, Tolerances, load_scenario, run_scenario
+from relfock import (
+    ScenarioError,
+    Tolerances,
+    basis_state,
+    bell_state,
+    load_scenario,
+    run_scenario,
+)
 from relfock.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -121,6 +134,19 @@ LOAD_MESSAGES = {
     "embeddings-not-list": (
         lambda: edited("bell", lambda doc: doc.update(embeddings={"electron": 1})),
         "embeddings: expected a list"),
+    "bell-pair-not-two-lists": (
+        lambda: _minimal(lambda doc: doc["states"][0].update(kind="bell", pair=[[0]])),
+        "states[0] ('ground').pair: expected two occupation lists"),
+    "duplicate-state-name": (
+        lambda: _minimal(lambda doc: doc["states"].append(dict(doc["states"][0]))),
+        "states: duplicate name 'ground'"),
+    "duplicate-task-name": (
+        lambda: _minimal(lambda doc: doc.update(tasks=[
+            {"command": "evolve", "name": "twice"}, {"command": "reduce", "name": "twice"}])),
+        "tasks[1]: duplicate task name 'twice'"),
+    "unknown-state-kind": (
+        lambda: _minimal(lambda doc: doc["states"][0].update(kind="squeezed")),
+        "states[0] ('ground'): unknown state kind 'squeezed'"),
     **{case: (lambda edit=edit: edited("annihilation", edit), message)
        for case, (edit, message) in ID_CLASHES.items()},
 }
@@ -183,6 +209,30 @@ class TestLoadScenario:
         doc["schema"] = "relfock.scenario/999"
         with pytest.raises(ScenarioError, match="schema"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: top level must be an object"
+
+    def test_state_kinds_build_the_library_states(self, tmp_path):
+        doc = dict(MINIMAL)
+        doc["spaces"] = [{"id": "R", "modes": [{"label": "a", "max_occupation": 2},
+                                               {"label": "b", "max_occupation": 2}]}]
+        doc["states"] = [{"name": "ghz", "space": "R", "kind": "ghz"},
+                         {"name": "bell", "space": "R", "kind": "bell",
+                          "pair": [[0, 1], [2, 0]]},
+                         {"name": "basis", "space": "R", "kind": "basis", "index": 5}]
+        scenario = load_scenario(write_scenario(tmp_path, doc))
+        space = scenario.spaces["R"]
+        expected = {"ghz": bell_state(space), "bell": bell_state(space, ((0, 1), (2, 0))),
+                    "basis": basis_state(space, 5)}
+        for name, state in expected.items():
+            loaded = scenario.states[name]
+            assert loaded.space_id == state.space_id
+            assert loaded.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     def test_bundled_scenarios_load(self):
         for name in ("bell", "product", "annihilation"):
@@ -705,6 +755,28 @@ def test_readme_quick_start_prints_sin_squared_deficits():
     printed = out.getvalue()
     deficits = np.array(printed[printed.index("[") + 1:printed.index("]")].split(), dtype=float)
     np.testing.assert_allclose(deficits, np.sin([0.0, 0.5, 1.0, 1.5]) ** 2, rtol=0, atol=1e-12)
+
+
+def test_readme_class_members_resolve():
+    # Every `Class.member` the README names, for a class relfock defines, is
+    # an attribute of that class or one of its dataclass fields.
+    classes = {}
+    for info in pkgutil.iter_modules(relfock.__path__):
+        module = importlib.import_module(f"relfock.{info.name}")
+        classes.update((name, value) for name, value in vars(module).items()
+                       if inspect.isclass(value) and value.__module__ == module.__name__)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = {(cls, member) for cls, member in re.findall(r"`([A-Z]\w*)\.(\w+)", readme)
+             if cls in classes}
+    assert {("SectorEigensystem", "propagate"), ("HamiltonianSpec", "eigensystem"),
+            ("Trajectory", "states"), ("Embedding", "isometry")} <= named
+
+    def resolves(cls, member):
+        return hasattr(cls, member) or (dataclasses.is_dataclass(cls) and member in
+                                        {f.name for f in dataclasses.fields(cls)})
+    stale = [f"{cls}.{member}" for cls, member in sorted(named)
+             if not resolves(classes[cls], member)]
+    assert stale == []
 
 
 def test_public_names_resolve():

@@ -15,6 +15,8 @@ from relfock import (
     Embedding,
     EmbeddingValidationError,
     ModeSpec,
+    SpaceMismatchError,
+    SpectralDecomposition,
     StateVector,
     basis_state,
     bell_state,
@@ -37,7 +39,7 @@ from relfock.composition import _compose
 from relfock.report import canonical_json
 from relfock.scenario import Scenario, Task
 
-from conftest import identity_map, qudit_space, random_pair
+from conftest import identity_map, qudit_space, random_pair, raises_exactly
 from test_relational import deficient_bell_pair
 
 
@@ -478,3 +480,60 @@ class TestJointContraction:
         finally:
             tracemalloc.stop()
         assert peak < dim_a * dim_a * np.dtype(np.complex128).itemsize
+
+
+def _three_qubit_joint():
+    """Three one-qubit parts of one reference composed, their factor
+    spaces, a random state and its spectra on each factor."""
+    sp = three_qubit_space()
+    parts = [mode_partition_embedding(sp, [label]) for label in sp.mode_labels]
+    joint = compose_embeddings(parts)
+    factors = [p.subsystem for p in parts]
+    psi = random_state_vector(sp, 4)
+    return joint, factors, psi, spectra_for(psi, joint, factors)
+
+
+class TestInputChecks:
+    def test_schmidt_needs_a_unit_state(self):
+        e = mode_partition_embedding(three_qubit_space(), ["q0"])
+        half = StateVector(e.reference_id, basis_state(e.reference, 0).amplitudes * 0.5)
+        with raises_exactly(ValueError, "state must be unit norm; |psi|^2 = 0.25"):
+            schmidt_decompose(half, e)
+
+    def test_joint_distribution_needs_a_unit_state(self):
+        joint, _, _, spectra = _three_qubit_joint()
+        half = StateVector(joint.reference_id, basis_state(joint.reference, 5).amplitudes * 0.5)
+        with raises_exactly(ValueError, "reference state must be unit norm; |psi|^2 = 0.25"):
+            joint_distribution(half, joint, spectra)
+
+    def test_compose_needs_parts_on_one_reference(self):
+        with raises_exactly(ValueError, "need at least one embedding to compose"):
+            compose_embeddings([])
+        other = build_fock_space([ModeSpec("q0"), ModeSpec("q1"), ModeSpec("q2")], "other")
+        parts = [mode_partition_embedding(three_qubit_space(), ["q0"]),
+                 mode_partition_embedding(other, ["q1"])]
+        with raises_exactly(SpaceMismatchError,
+                            "all parts must embed into the same reference space"):
+            compose_embeddings(parts)
+
+    def test_regroup_needs_matching_factors_and_distinct_keep(self):
+        joint, factors, _, _ = _three_qubit_joint()
+        with raises_exactly(SpaceMismatchError,
+                            "factor dimensions [2, 2] do not multiply to dim(A) = 8"):
+            regroup_embedding(joint, factors[:2], [0])
+        for keep in ([0, 0], [3]):
+            with raises_exactly(ValueError, f"keep indices {keep} must be distinct "
+                                            "positions into 3 factors"):
+                regroup_embedding(joint, factors, keep)
+
+    def test_joint_distribution_needs_spectra_of_the_factors(self):
+        joint, _, psi, spectra = _three_qubit_joint()
+        with raises_exactly(ValueError, "need at least one spectrum"):
+            joint_distribution(psi, joint, [])
+        empty = SpectralDecomposition("A", (), (), (), 1.0, 2)
+        with raises_exactly(ValueError,
+                            "every subsystem needs at least one possible internal state"):
+            joint_distribution(psi, joint, spectra[:2] + [empty])
+        with raises_exactly(SpaceMismatchError,
+                            "spectra live on dimensions [2, 2], inconsistent with dim(A) = 8"):
+            joint_distribution(psi, joint, spectra[:2])

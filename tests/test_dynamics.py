@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from importlib import resources
 
@@ -40,7 +42,7 @@ from relfock import dynamics
 from relfock.dynamics import _ENERGY_CHUNK, SectorEigensystem, _hermiticity_deviation
 from relfock.runner import COMMANDS
 
-from conftest import dense_matrix, mode_matrix, qudit_space, spectral_norm
+from conftest import block_eigenpairs, dense_matrix, mode_matrix, qudit_space, spectral_norm
 
 
 def pair_annihilation_model(g: float = 1.0):
@@ -320,7 +322,7 @@ class TestKroneckerOracle:
 
 
 def _block_sets(h):
-    return [frozenset(row.tolist()) for idx, _, _ in h.eigensystem.blocks for row in idx]
+    return [frozenset(row.tolist()) for g in h.eigensystem._groups for row in g.idx]
 
 
 class TestSectorEigensystem:
@@ -352,16 +354,19 @@ class TestSectorEigensystem:
         # Mixed bosons and fermions with Jordan-Wigner signs; eight of these
         # seeds give one block spanning the space. Propagation on the same
         # seeds is checked by test_evolution_matches_dense_eigh.
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)  # every block to eigh
         space, terms = _random_terms(seed)
         h = build_hamiltonian(space, terms)
-        blocks = h.eigensystem.blocks
+        evolve(random_state_vector(space, seed), h, 0.5)  # a state on every block
+        groups = h.eigensystem._groups
+        assert all(g.done.all() for g in groups)
         assert all(a.dtype == np.float64 for a in eigh_calls)
         monkeypatch.undo()
         w = np.linalg.eigh(dense_matrix(h))[0]
-        blocks_w = np.sort(np.concatenate([bw.ravel() for _, bw, _ in blocks]))
+        blocks_w = np.sort(np.concatenate([g.w.ravel() for g in groups]))
         norm = np.abs(w).max(initial=0.0)
         assert np.abs(blocks_w - w).max() <= 1e-12 * norm
-        assert all(bu.dtype == np.complex128 for _, _, bu in blocks)
+        assert all(g.u.dtype == np.complex128 for g in groups)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_complex_scattered_blocks_match_dense_eigh(self, seed, monkeypatch, eigh_calls):
@@ -375,12 +380,15 @@ class TestSectorEigensystem:
         h = HamiltonianSpec(space, (), rows, cols, mat[rows, cols])
         assert set(_block_sets(h)) == {frozenset(np.flatnonzero(labels == k).tolist())
                                        for k in np.unique(labels)}
+        assert eigh_calls == []  # finding the blocks diagonalizes none
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)  # every block to eigh
+        psi = random_state_vector(space, seed)
+        out = evolve(psi, h, 0.8)
         assert eigh_calls and all(a.dtype == np.complex128 for a in eigh_calls)
         monkeypatch.undo()
-        psi = random_state_vector(space, seed)
         w, u = np.linalg.eigh(dense_matrix(h))
         expected = u @ (np.exp(-0.8j * w) * (u.conj().T @ psi.amplitudes))
-        np.testing.assert_allclose(evolve(psi, h, 0.8).amplitudes, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_block_counts(self):
         conversion_modes = [
@@ -403,10 +411,10 @@ class TestSectorEigensystem:
         h = load_scenario(str(bundled)).hamiltonians["pair_conversion"]
         assert len(_block_sets(h)) == 7
 
-    def test_one_block_is_diagonalized_whole(self, eigh_calls):
+    def test_one_block_is_diagonalized_whole(self, monkeypatch, eigh_calls):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)  # every block to eigh
         space = build_fock_space([ModeSpec(f"q{i}", "boson", 1) for i in range(4)])
         h = build_hamiltonian(space, [(0.3 + i, (("create", f"q{i}"),)) for i in range(4)])
-        (idx, w, u), = h.eigensystem.blocks
         psi0 = basis_state(space, (0, 0, 0, 0))
         evolve(psi0, h, 0.5)
         evolve_trajectory(psi0, h, [0.0, 0.5, 1.0])
@@ -414,8 +422,9 @@ class TestSectorEigensystem:
         assert len(eigh_calls) == 1
         assert eigh_calls[0].dtype == np.float64 and eigh_calls[0].shape == (1, 16, 16)
         assert eigh_calls[0][0].tobytes() == np.ascontiguousarray(dense_matrix(h).real).tobytes()
-        assert np.array_equal(idx, np.arange(space.dimension)[None])
-        assert w.shape == (1, 16) and u.shape == (1, 16, 16) and u.dtype == np.complex128
+        g, = h.eigensystem._groups
+        assert np.array_equal(g.idx, np.arange(space.dimension)[None])
+        assert g.w.shape == (1, 16) and g.u.shape == (1, 16, 16) and g.u.dtype == np.complex128
 
     def test_eigensystem_is_cached_read_only_and_shared(self, eigh_calls):
         space, h, psi0, embedding = pair_annihilation_model()
@@ -425,11 +434,10 @@ class TestSectorEigensystem:
         evolve(psi0, h, 0.9)
         assert len(eigh_calls) == 1  # the one size-2 block, diagonalized once
         assert h.eigensystem is eigensystem
-        for arrays in eigensystem.blocks:
-            for arr in arrays:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[...] = 0
+        for g in eigensystem._groups:
+            assert not g.idx.flags.writeable
+            with pytest.raises(ValueError):
+                g.idx[...] = 0
 
 
 # Reference: the per-time propagator and monitor loop that the one-call
@@ -437,9 +445,10 @@ class TestSectorEigensystem:
 # is computed one time at a time with the reductions the trajectory applies
 # to all times at once, over the same support: the entries of the blocks
 # where psi0 has a nonzero amplitude, and H's triplets inside them.
-def _step_propagate(eigensystem, amplitudes, t):
+def _step_propagate(pairs, amplitudes, t):
+    """exp(-i H t) amplitudes from the ``block_eigenpairs`` of H."""
     out = np.empty_like(amplitudes)
-    for idx, w, u in eigensystem.blocks:
+    for idx, w, u in pairs:
         phase = np.exp(-1j * w * t)
         if w.shape[1] == 1:
             out[idx] = phase * amplitudes[idx]
@@ -451,7 +460,7 @@ def _step_propagate(eigensystem, amplitudes, t):
 
 
 def _support(h, amplitudes):
-    blocks = [row for idx, _, _ in h.eigensystem.blocks for row in idx]
+    blocks = [row for g in h.eigensystem._groups for row in g.idx]
     return np.sort(np.concatenate([b for b in blocks if amplitudes[b].any()]))
 
 
@@ -465,11 +474,12 @@ def _step_trajectory(psi0, h, times, embeddings, charge_kinds):
     charge_diags = {kind: charge_values(h.space, kind)[support] for kind in charge_kinds}
     carried = {key: np.bincount(emb.rows[emb.rows >= 0], minlength=h.space.dimension)[support]
                for key, emb in embeddings.items()}
+    pairs = block_eigenpairs(h)
     states, norms, energies = [], np.empty(len(times)), np.empty(len(times))
     charges = {kind: np.empty(len(times)) for kind in charge_diags}
     traces = {key: np.empty(len(times)) for key in embeddings}
     for i, t in enumerate(times):
-        amps = _step_propagate(h.eigensystem, psi0.amplitudes, float(t))
+        amps = _step_propagate(pairs, psi0.amplitudes, float(t))
         states.append(amps)
         a = amps[support]
         weights = np.square(a.real) + np.square(a.imag)
@@ -534,9 +544,9 @@ class TestOnePropagator:
         sizes, one_block, complex_vals = set(), False, False
         for case in PROPAGATION_CASES:
             h = _propagation_case(case)[0]
-            block_sizes = {w.shape[1] for _, w, _ in h.eigensystem.blocks}
-            sizes.add(frozenset(block_sizes))
-            one_block |= len(h.eigensystem.blocks) == 1 and h.eigensystem.blocks[0][0].size > 1
+            groups = h.eigensystem._groups
+            sizes.add(frozenset(g.idx.shape[1] for g in groups))
+            one_block |= len(groups) == 1 and groups[0].idx.size > 1
             complex_vals |= bool(h.vals.imag.any())
         assert any(1 in s and len(s) >= 3 for s in sizes)  # several sizes, size 1 included
         assert one_block and complex_vals
@@ -602,7 +612,7 @@ class TestOnePropagator:
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 0
 
-    def test_long_time_grid_scratch_stays_order_t_d(self):
+    def test_long_time_grid_scratch_stays_order_t_d(self, monkeypatch):
         # Every pair of 8 sites hops: 14 entries of H per row, so a (T, nnz)
         # scratch would be 28 times the (T, D) states.
         space = build_fock_space([ModeSpec(f"s{i}", "fermion", 1, {"electric": -1})
@@ -614,7 +624,9 @@ class TestOnePropagator:
         psi0 = random_state_vector(space, 4)
         embeddings = {"left": mode_partition_embedding(space, ["s0", "s1"])}
         times = np.linspace(0.0, 5.0, 1000)
-        h.eigensystem.blocks  # diagonalize outside the measurement
+        # diagonalize every block outside the measurement
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)
+        evolve(psi0, h, 0.0)
         tracemalloc.start()
         try:
             traj = evolve_trajectory(psi0, h, times, embeddings=embeddings,
@@ -664,7 +676,7 @@ def _sparse_states(h, kind, rng):
     """A unit state on few blocks of h (a basis state, a random state on one
     block, or a random state on a random subset of the blocks) and the mask
     of the entries outside the blocks it occupies."""
-    blocks = [row for idx, _, _ in h.eigensystem.blocks for row in idx]
+    blocks = [row for g in h.eigensystem._groups for row in g.idx]
     n = h.space.dimension
     if kind == "basis":
         support = rng.integers(n, size=1)
@@ -701,11 +713,43 @@ class TestLazyBlocks:
         evolve(half, h, 0.3)
         evolve_trajectory(three, h, [0.2, 0.4])
         assert len(eigh_calls) == 2
-        assert len(h.eigensystem.blocks) == 5  # sizes 1, 8, 28, 56 and 70
+        assert len(h.eigensystem._groups) == 5  # sizes 1, 8, 28, 56 and 70
+        evolve(random_state_vector(h.space, 1), h, 0.1)
         # the rest: the other 56-state sector and every other size but 1
         assert [a.shape for a in eigh_calls[2:]] == [(2, 8, 8), (2, 28, 28), (1, 56, 56)]
         evolve(basis_state(h.space, (1, 1, 1, 1, 1, 0, 0, 0)), h, 0.1)
         assert len(eigh_calls) == 5
+
+    def test_concurrent_first_need_diagonalizes_a_block_once(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)  # every block to eigh
+        h = _chain()
+        h.eigensystem  # found here: both threads share it
+        half = basis_state(h.space, (1, 0, 1, 0, 1, 0, 1, 0))
+        shapes, entered, second, eigh = [], threading.Event(), threading.Event(), np.linalg.eigh
+
+        def slow(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if len(shapes) == 1:  # hold the first call until the second thread runs
+                entered.set()
+                second.wait(timeout=10)
+                time.sleep(0.2)
+            return eigh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", slow)
+        states = [None, None]
+
+        def run(i):
+            if i:
+                second.set()
+            states[i] = evolve(half, h, 0.7).amplitudes
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        threads[0].start()
+        assert entered.wait(timeout=10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert shapes == [(1, 70, 70)]
+        assert states[0].tobytes() == states[1].tobytes()
 
     @pytest.mark.parametrize("case", LAZY_CASES)
     def test_lazy_blocks_equal_blocks_of_a_fresh_spec(self, case):
@@ -715,18 +759,20 @@ class TestLazyBlocks:
         for kind in ("basis", "sector"):
             amps, _ = _sparse_states(fresh, kind, rng)
             evolve(StateVector(h.space_id, amps), h, 0.6)
-        for (idx, w, u), (idx_f, w_f, u_f) in zip(h.eigensystem.blocks,
-                                                  fresh.eigensystem.blocks):
-            assert idx.tobytes() == idx_f.tobytes()
-            assert w.tobytes() == w_f.tobytes() and u.tobytes() == u_f.tobytes()
-            for arr in (idx, w, u):
-                assert not arr.flags.writeable
+        groups = h.eigensystem._groups
+        assert any(g.done.any() for g in groups)
+        for g, (idx, w, u) in zip(groups, block_eigenpairs(fresh), strict=True):
+            assert g.idx.tobytes() == idx.tobytes()
+            if g.done.any():
+                assert g.w[g.done].tobytes() == w[g.done].tobytes()
+                assert g.u[g.done].tobytes() == u[g.done].tobytes()
 
     @pytest.mark.parametrize("kind", ["basis", "sector", "subset"])
     @pytest.mark.parametrize("case", LAZY_CASES)
     def test_sparse_support_propagation(self, case, kind):
         reference = _propagation_case(case)[0]
         w, u = np.linalg.eigh(dense_matrix(reference))
+        pairs = block_eigenpairs(reference)
         rng = np.random.default_rng(11)
         times = TIME_GRIDS[7]
         for _ in range(3):
@@ -735,7 +781,7 @@ class TestLazyBlocks:
             traj = evolve_trajectory(StateVector(h.space_id, amps), h, times)
             for t, state in zip(times, traj.states):
                 psi_t = state.amplitudes
-                full = _step_propagate(reference.eigensystem, amps, t)
+                full = _step_propagate(pairs, amps, t)
                 assert np.array_equal(psi_t, full)
                 dense = u @ (np.exp(-1j * w * t) * (u.conj().T @ amps))
                 np.testing.assert_allclose(psi_t, dense, rtol=0, atol=1e-12)
@@ -996,7 +1042,7 @@ def _kicked(modes, scale=1.0):
 
 
 @pytest.fixture
-def taylor_calls(monkeypatch):
+def chebyshev_calls(monkeypatch):
     """The block size of every matrix-free (Chebyshev) propagation the test
     makes, in call order."""
     seen, chebyshev = [], dynamics._chebyshev_states
@@ -1078,24 +1124,24 @@ def _assert_close_payloads(left, right, where):
         assert left == right, where
 
 
-TAYLOR_GRIDS = {"uneven": [0.0, 0.05, 0.37, 0.4, 1.9, 3.0],
-                "descending": [3.0, 1.0, 1.0, -0.5, -2.0]}
+CHEBYSHEV_GRIDS = {"uneven": [0.0, 0.05, 0.37, 0.4, 1.9, 3.0],
+                   "descending": [3.0, 1.0, 1.0, -0.5, -2.0]}
 
 
-class TestTaylorPath:
-    @pytest.mark.parametrize("grid", sorted(TAYLOR_GRIDS))
+class TestChebyshevPath:
+    @pytest.mark.parametrize("grid", sorted(CHEBYSHEV_GRIDS))
     @pytest.mark.parametrize("complex_vals", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_one_block_matches_expm(self, monkeypatch, eigh_calls, taylor_calls,
+    def test_one_block_matches_expm(self, monkeypatch, eigh_calls, chebyshev_calls,
                                     seed, complex_vals, grid):
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)  # every block to Chebyshev
         s = 16 + 16 * seed
         h = _one_block(seed, s, complex_vals)
         assert bool(h.vals.imag.any()) == complex_vals
         psi = random_state_vector(h.space, seed)
-        times = TAYLOR_GRIDS[grid]
+        times = CHEBYSHEV_GRIDS[grid]
         traj = evolve_trajectory(psi, h, times)
-        assert taylor_calls == [s] and eigh_calls == []
+        assert chebyshev_calls == [s] and eigh_calls == []
         dense = dense_matrix(h)
         for t, state in zip(times, traj.states):
             np.testing.assert_allclose(state.amplitudes, expm(-1j * t * dense) @ psi.amplitudes,
@@ -1106,7 +1152,7 @@ class TestTaylorPath:
         assert np.abs(traj.norms - 1.0).max() < 1e-13
 
     def test_partial_support_mixes_paths_and_keeps_nothing(self, monkeypatch, eigh_calls,
-                                                           taylor_calls):
+                                                           chebyshev_calls):
         h = _chain()
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
         occupations = h.space.basis_occupations.sum(axis=1)
@@ -1118,11 +1164,11 @@ class TestTaylorPath:
         amps = np.zeros(h.space.dimension, dtype=np.complex128)
         amps[support] = rng.normal(size=support.sum()) + 1j * rng.normal(size=support.sum())
         psi = StateVector(h.space_id, amps / np.linalg.norm(amps))
-        times = TAYLOR_GRIDS["uneven"]
+        times = CHEBYSHEV_GRIDS["uneven"]
         traj = evolve_trajectory(psi, h, times)
         # the 70-state sector keeps its eigenpairs; the occupied 56-state
         # sector goes to Chebyshev
-        assert len(eigh_calls) == 1 and taylor_calls == [56]
+        assert len(eigh_calls) == 1 and chebyshev_calls == [56]
         dense = dense_matrix(h)
         for t, state in zip(times, traj.states):
             a = state.amplitudes
@@ -1132,10 +1178,11 @@ class TestTaylorPath:
             assert not np.signbit(a[~support].real).any()
             assert not np.signbit(a[~support].imag).any()
         # Chebyshev kept nothing: both 56-state sectors are still to diagonalize
-        h.eigensystem.blocks
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)
+        evolve(random_state_vector(h.space, 2), h, 0.1)
         assert (2, 56, 56) in [a.shape for a in eigh_calls[1:]]
 
-    def test_rule_keeps_bundled_and_conversion_blocks_on_eigh(self, eigh_calls, taylor_calls):
+    def test_rule_keeps_bundled_and_conversion_blocks_on_eigh(self, eigh_calls, chebyshev_calls):
         for name in ("annihilation", "bell", "product"):
             path = resources.files("relfock") / "scenarios" / f"{name}.json"
             scenario = load_scenario(str(path))
@@ -1145,15 +1192,15 @@ class TestTaylorPath:
             for h in scenario.hamiltonians.values():
                 assert all(g.stats is None for g in h.eigensystem._groups)
         # the stacked block solves (the spectrum tasks' eigh calls are 2-d)
-        assert taylor_calls == [] and [a.shape for a in eigh_calls if a.ndim == 3] == [(1, 2, 2)]
+        assert chebyshev_calls == [] and [a.shape for a in eigh_calls if a.ndim == 3] == [(1, 2, 2)]
         eigh_calls.clear()
         conversion, pair = _conversion_model()
         evolve_trajectory(pair, conversion, np.linspace(0.0, 3.0, 50))
         evolve(pair, conversion, 0.2)
         assert all(g.stats is None for g in conversion.eigensystem._groups)
-        assert taylor_calls == [] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
+        assert chebyshev_calls == [] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
 
-    def test_rule_sends_the_dynamics_chain_block_to_chebyshev(self, eigh_calls, taylor_calls):
+    def test_rule_sends_the_dynamics_chain_block_to_chebyshev(self, eigh_calls, chebyshev_calls):
         # the benchmark's dynamics case: the conversion model and a
         # half-filled 10-site chain, a trajectory then an evolve on each
         conversion, pair = _conversion_model()
@@ -1163,7 +1210,7 @@ class TestTaylorPath:
         half = basis_state(chain.space, (1, 0, 1, 1, 0, 0, 1, 0, 1, 0))
         evolve_trajectory(half, chain, np.linspace(0.0, 4.0, 20))
         evolve(half, chain, 0.5)
-        assert taylor_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
+        assert chebyshev_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
 
     @pytest.mark.parametrize("hop", [0.5, 1.5])
     def test_rule_sends_chains_of_the_benchmark_range_to_chebyshev(self, hop):
@@ -1183,7 +1230,7 @@ class TestTaylorPath:
         assert 1024 ** 3 <= dynamics._CHEBYSHEV_COST * (nnz + 2000 * 1024) * n
         assert [b for b, _ in dynamics._chebyshev_blocks(g, np.ones(1, dtype=bool), times)] == [0]
 
-    def test_rule_prices_the_slab_of_a_star_block(self, eigh_calls, taylor_calls):
+    def test_rule_prices_the_slab_of_a_star_block(self, eigh_calls, chebyshev_calls):
         # explicit triplets: row 0 touches every column, so the block has
         # 3 s - 2 entries but its slab is s x s
         s, t, rng = 256, 1.0, np.random.default_rng(9)
@@ -1203,12 +1250,12 @@ class TestTaylorPath:
         assert dynamics._chebyshev_blocks(g, np.ones(1, dtype=bool), np.array([t])) == []
         psi = random_state_vector(h.space, 9)
         state = evolve(psi, h, t)
-        assert taylor_calls == [] and [a.shape for a in eigh_calls] == [(1, s, s)]
+        assert chebyshev_calls == [] and [a.shape for a in eigh_calls] == [(1, s, s)]
         np.testing.assert_allclose(state.amplitudes,
                                    expm(-1j * t * dense_matrix(h)) @ psi.amplitudes,
                                    rtol=0, atol=1e-12)
 
-    def test_chain_matches_slater_determinants(self, eigh_calls, taylor_calls):
+    def test_chain_matches_slater_determinants(self, eigh_calls, chebyshev_calls):
         # an independent reference: N free fermions evolve as the Slater
         # determinants of the single-particle propagator exp(-i t h1)
         hops = np.random.default_rng(11).uniform(0.5, 1.5, 9)
@@ -1217,7 +1264,7 @@ class TestTaylorPath:
         psi = basis_state(h.space, tuple(start))
         times = np.linspace(0.0, 4.0, 20)
         traj = evolve_trajectory(psi, h, times)
-        assert taylor_calls == [252] and eigh_calls == []
+        assert chebyshev_calls == [252] and eigh_calls == []
         h1 = np.diag(hops, 1) + np.diag(hops, -1)
         occupations = h.space.basis_occupations
         sector = np.flatnonzero(occupations.sum(axis=1) == 5)
@@ -1230,32 +1277,36 @@ class TestTaylorPath:
         assert traj.states[0].amplitudes.tobytes() == psi.amplitudes.tobytes()
         assert np.abs(traj.norms - 1.0).max() < 1e-13
 
-    def test_diagonalized_block_is_not_repropagated_by_taylor(self, eigh_calls, taylor_calls):
+    def test_diagonalized_block_is_not_repropagated_by_chebyshev(self, monkeypatch, eigh_calls,
+                                                                chebyshev_calls):
         h = _kicked(8)
         psi = random_state_vector(h.space, 4)
         # one short time: 256^3 against 100 x (2303 entries + 256) x 14 terms
         first = evolve(psi, h, 0.1)
-        assert taylor_calls == [256] and eigh_calls == []
-        h.eigensystem.blocks
+        assert chebyshev_calls == [256] and eigh_calls == []
+        cost = dynamics._CHEBYSHEV_COST
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", math.inf)
+        evolve(psi, h, 0.1)
         assert [a.shape for a in eigh_calls] == [(1, 256, 256)]
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", cost)
         again = evolve(psi, h, 0.1)
         evolve_trajectory(psi, h, [0.1, 0.2])
-        assert taylor_calls == [256] and len(eigh_calls) == 1
+        assert chebyshev_calls == [256] and len(eigh_calls) == 1
         np.testing.assert_allclose(again.amplitudes, first.amplitudes, rtol=0, atol=1e-12)
 
-    def test_non_finite_cost_selects_eigh(self, eigh_calls, taylor_calls):
+    def test_non_finite_cost_selects_eigh(self, eigh_calls, chebyshev_calls):
         h = _kicked(8, scale=1e300)
         psi = random_state_vector(h.space, 4)
         # |H|_1 t overflows: eigh, whose phases overflow, and the drift check
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=r"^evolution lost unitarity: max norm drift nan$"):
             evolve(psi, h, 1e10)
-        assert taylor_calls == [] and len(eigh_calls) == 1
+        assert chebyshev_calls == [] and len(eigh_calls) == 1
         # a finite but huge r max|t| (about 8e10) prices Chebyshev out too
         assert evolve(psi, _kicked(8, scale=1e300), 1e-290).is_normalized()
-        assert taylor_calls == [] and len(eigh_calls) == 2
+        assert chebyshev_calls == [] and len(eigh_calls) == 2
 
-    def test_large_block_propagates_in_o_nnz_memory(self, eigh_calls, taylor_calls):
+    def test_large_block_propagates_in_o_nnz_memory(self, eigh_calls, chebyshev_calls):
         space = build_fock_space([ModeSpec(f"f{i}", "fermion", 1) for i in range(11)])
         terms = [(0.2 + 0.03 * i, (("create", f"f{i}"),)) for i in range(11)]
         terms += [(0.5 + 0.1 * i, (("number", f"f{i}"),)) for i in range(11)]
@@ -1273,7 +1324,7 @@ class TestTaylorPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert taylor_calls == [2048, 2048] and eigh_calls == []
+        assert chebyshev_calls == [2048, 2048] and eigh_calls == []
         assert np.array_equal([state.amplitudes for state in traj.states], amps)
         # The propagation, with the block search, is O(nnz + T D); the
         # trajectory adds its monitors, the energy sum's fixed chunk among them.
@@ -1310,7 +1361,7 @@ class TestTaylorPath:
         np.testing.assert_allclose([w.min(), w.max()], [centre - radius, centre + radius],
                                    rtol=0, atol=1e-12)
 
-    def test_bessel_values_and_term_count_match_scipy(self, monkeypatch, taylor_calls):
+    def test_bessel_values_and_term_count_match_scipy(self, monkeypatch, chebyshev_calls):
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
         terms, chebyshev = [], dynamics._chebyshev_states
         monkeypatch.setattr(dynamics, "_chebyshev_states",
@@ -1319,7 +1370,7 @@ class TestTaylorPath:
         psi, radius = random_state_vector(h.space, 0), h.eigensystem._groups[-1].stats[2][0]
         # an all-zero grid takes the eigenpairs (of a twin: they are kept)
         evolve_trajectory(psi, _one_block(0, 16, False), [0.0, 0.0])
-        assert taylor_calls == []
+        assert chebyshev_calls == []
         xs = np.array([0.0, 1e-300, 1e-8, 0.1, 1.0, 37.3, 100.0, 1000.0])
         joint = dynamics._bessel_j(xs, dynamics._order(xs.max(), 55))  # one recurrence, as for a grid
         assert np.array_equal(joint[:, 0], np.arange(len(joint)) == 0)  # J_k(0) = delta_k0
@@ -1342,10 +1393,10 @@ class TestTaylorPath:
                     assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
             # the dropped terms are below rounding, by scipy's values
             assert np.abs(jv(np.arange(n + 1, n + 400), at)).sum() < 2.0 ** -52
-        assert taylor_calls == [16] * 7
+        assert chebyshev_calls == [16] * 7
 
     def test_evolve_matches_trajectory_without_stepping(self, monkeypatch, eigh_calls,
-                                                        taylor_calls):
+                                                        chebyshev_calls):
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
         terms, chebyshev = [], dynamics._chebyshev_states
         monkeypatch.setattr(dynamics, "_chebyshev_states",
@@ -1363,11 +1414,11 @@ class TestTaylorPath:
         evolve(psi, h, -times[7])
         evolve_trajectory(psi, h, [times[7], 0.0, -times[3]])
         assert terms[3:] == [terms[1]] * 2
-        assert taylor_calls == [1024] * 5 and eigh_calls == []
+        assert chebyshev_calls == [1024] * 5 and eigh_calls == []
 
     @pytest.mark.parametrize("target, shift", [(20, 0.7), (63, 0.7), (64, 0.7), (64, 0.0)],
                              ids=["below", "multiple", "one-past", "centred"])
-    def test_batched_terms_match_expm(self, monkeypatch, eigh_calls, taylor_calls,
+    def test_batched_terms_match_expm(self, monkeypatch, eigh_calls, chebyshev_calls,
                                       target, shift):
         # at s = 256 the newest m = min(N + 1, 32) terms are added together:
         # N + 1 = 21 is one batch of 21, 64 two full batches, 65 two and a
@@ -1386,7 +1437,7 @@ class TestTaylorPath:
         psi = random_state_vector(h.space, 1)
         times = np.linspace(0.0, _time_for_terms(h, psi, target, terms), 20)
         traj = evolve_trajectory(psi, h, times)
-        assert terms[-1] == target and eigh_calls == [] and set(taylor_calls) == {256}
+        assert terms[-1] == target and eigh_calls == [] and set(chebyshev_calls) == {256}
         dense = dense_matrix(h)
         for i in (0, 7, 15, 16, 19):
             np.testing.assert_allclose(traj.states[i].amplitudes,
@@ -1428,7 +1479,7 @@ class TestTaylorPath:
         counts = np.count_nonzero(mats[0] - np.diag(np.diag(mats[0])), axis=1)
         assert counts[0] == 0 and counts.max() >= 8 and len(set(counts)) > 5
 
-    def test_long_grid_matches_expm_in_o_ts_memory(self, monkeypatch, eigh_calls, taylor_calls):
+    def test_long_grid_matches_expm_in_o_ts_memory(self, monkeypatch, eigh_calls, chebyshev_calls):
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)
         n_times, s = 2000, 1024
         times = np.linspace(0.0, 2.0, n_times)
@@ -1452,7 +1503,7 @@ class TestTaylorPath:
         # search: no s x s array, no stack of the recurrence vectors
         assert peak < (n_times + 8) * s * 16 + (bound + 1) * n_times * 8 + search
         traj = evolve_trajectory(psi, h, times)
-        assert taylor_calls == [s, s] and eigh_calls == []
+        assert chebyshev_calls == [s, s] and eigh_calls == []
         assert np.array_equal([state.amplitudes for state in traj.states], amps)
         assert np.abs(traj.norms - 1.0).max() < 1e-13
         sparse = csr_matrix((h.vals, (h.rows, h.cols)), shape=(s, s))
@@ -1462,7 +1513,7 @@ class TestTaylorPath:
                                        rtol=0, atol=1e-12)
 
     def test_matrix_free_reports_do_not_depend_on_blas_threads(self, tmp_path, eigh_calls,
-                                                               taylor_calls):
+                                                               chebyshev_calls):
         labels = [f"q{i}" for i in range(10)]
         phi = random_state_vector(_kicked(10).space, 8).amplitudes
         doc = {
@@ -1490,12 +1541,12 @@ class TestTaylorPath:
         report = run_scenario(load_scenario(str(path)))
         # the rule sends the 1024-state block to Chebyshev for both tasks
         assert all(t.status == "ok" for t in report.tasks)
-        assert taylor_calls == [1024, 1024] and eigh_calls == []
+        assert chebyshev_calls == [1024, 1024] and eigh_calls == []
         outputs = _reports_at_one_and_two_blas_threads(path)
         assert outputs[0] == outputs[1] == report.to_machine_bytes()
 
     def test_dynamics_reports_do_not_depend_on_blas_threads(self, tmp_path, eigh_calls,
-                                                            taylor_calls):
+                                                            chebyshev_calls):
         # the benchmark's dynamics shapes: a 10-mode conversion model and a
         # half-filled 10-site chain, a 20-point trajectory and an evolve on each
         hops = np.random.default_rng(71).uniform(0.5, 1.5, 9)
@@ -1547,12 +1598,12 @@ class TestTaylorPath:
         path.write_text(json.dumps(doc))
         report = run_scenario(load_scenario(str(path)))
         assert all(t.status == "ok" for t in report.tasks)
-        assert taylor_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
+        assert chebyshev_calls == [252, 252] and [a.shape for a in eigh_calls] == [(1, 2, 2)]
         outputs = _reports_at_one_and_two_blas_threads(path)
         assert outputs[0] == outputs[1] == report.to_machine_bytes()
 
     def test_every_command_at_one_and_two_blas_threads(self, tmp_path, eigh_calls,
-                                                       taylor_calls):
+                                                       chebyshev_calls):
         # the kicked 1024-state block on the Chebyshev path, and every command;
         # the 256-state subsystem's spectrum is a BLAS eigh
         labels = [f"q{i}" for i in range(10)]
@@ -1596,7 +1647,7 @@ class TestTaylorPath:
         path.write_text(json.dumps(doc))
         report = run_scenario(load_scenario(str(path)))
         assert all(t.status == "ok" for t in report.tasks)
-        assert taylor_calls == [1024, 1024]
+        assert chebyshev_calls == [1024, 1024]
         one, two = ({t["name"]: t for t in json.loads(out)["tasks"]}
                     for out in _reports_at_one_and_two_blas_threads(path))
         for name, task in one.items():

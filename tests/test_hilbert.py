@@ -30,6 +30,7 @@ from relfock import (
     relational_state,
     run_scenario,
     schmidt_decompose,
+    state_from_amplitudes,
     tensor_product,
     validate_embedding,
 )
@@ -37,7 +38,7 @@ from relfock.composition import _compose
 from relfock.hilbert import Embedding, mode_action, pull_back, push_forward
 from relfock.superselection import _check_compatibility, sector_decomposition
 
-from conftest import identity_map, mode_matrix, qudit_space, random_pair
+from conftest import identity_map, mode_matrix, qudit_space, random_pair, raises_exactly
 
 
 class TestBuildFockSpace:
@@ -767,3 +768,42 @@ class TestStateConstructors:
         s2 = random_state_vector(sp, 42)
         assert s1.is_normalized()
         np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
+
+
+class TestInputChecks:
+    def test_index_of_needs_one_occupation_per_mode(self):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        with raises_exactly(ValueError, "expected 2 occupation numbers, got 1"):
+            sp.index_of((0,))
+
+    def test_state_vector_must_be_one_dimensional(self):
+        with raises_exactly(ValueError, "amplitudes must be a one-dimensional vector"):
+            StateVector("R", np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_basis_index_must_be_in_range(self, index):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        with raises_exactly(ValueError, f"basis index {index} out of range"):
+            basis_state(sp, index)
+
+    def test_amplitudes_must_match_the_dimension(self):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        with raises_exactly(SpaceMismatchError,
+                            "expected 4 amplitudes for space 'R', got (3,)"):
+            state_from_amplitudes(sp, [1, 0, 0])
+
+    def test_bell_pair_states_must_differ(self):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        with raises_exactly(ValueError, "the two basis states must differ"):
+            bell_state(sp, ((1, 0), (1, 0)))
+
+    def test_frozen_occupation_must_be_in_range(self):
+        sp = build_fock_space([ModeSpec("a"), ModeSpec("b")], "R")
+        with raises_exactly(ValueError, "frozen occupation 2 out of range for mode 'b'"):
+            mode_partition_embedding(sp, ["a"], frozen={"b": 2})
+
+    def test_charge_kind_must_be_known(self):
+        with raises_exactly(ValueError, "mode 'a': unknown charge kind 'colour'"):
+            ModeSpec("a", charges={"colour": 1})
+        with raises_exactly(ValueError, "unknown charge kind 'colour'"):
+            ModeSpec("a", charges={"electric": 1}).charge("colour")

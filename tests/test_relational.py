@@ -8,6 +8,7 @@ from relfock import (
     DensityOperator,
     ModeSpec,
     SpaceMismatchError,
+    SpectralDecomposition,
     StateVector,
     bell_state,
     build_fock_space,
@@ -21,7 +22,7 @@ from relfock import (
 from relfock.hilbert import pull_back
 from relfock.relational import _deterministic_group_basis
 
-from conftest import identity_map, qudit_space, random_pair
+from conftest import identity_map, qudit_space, random_pair, raises_exactly
 
 
 def elementwise_partial_trace(phi: np.ndarray, dim_a: int, dim_b: int,
@@ -334,3 +335,28 @@ class TestIsolatedIndependence:
         amps = psi.amplitudes + 1e-12 * noise
         amps = amps / np.linalg.norm(amps)
         assert isolated_independence_deviation(StateVector(e.reference_id, amps), e) < 1e-10
+
+
+def _no_outcomes():
+    """A decomposition with every eigenvalue dropped and no weight missing."""
+    return SpectralDecomposition("A", (), (), (), 0.0, 2)
+
+
+class TestInputChecks:
+    def test_density_matrix_must_be_square(self):
+        with raises_exactly(ValueError, "density matrix must be square"):
+            DensityOperator("A", np.zeros((2, 3)), 0.0, 1.0)
+
+    def test_sample_count_must_be_nonnegative(self):
+        _, e, psi = deficient_bell_pair()
+        rho = relational_state(psi, e)
+        with raises_exactly(ValueError, "count must be nonnegative"):
+            sample_internal_states(possible_internal_states(rho), -1, 0)
+
+    def test_no_outcomes_cannot_be_sampled(self):
+        with raises_exactly(ValueError, "decomposition has no outcomes to sample"):
+            sample_internal_states(_no_outcomes(), 3, 0)
+
+    def test_empty_decomposition_has_an_empty_eigenvector_matrix(self):
+        mat = _no_outcomes().eigenvector_matrix()
+        assert mat.shape == (0, 0) and mat.dtype == np.complex128

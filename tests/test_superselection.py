@@ -25,7 +25,7 @@ from relfock import (
 )
 from relfock.hilbert import column_charges
 
-from conftest import qudit_space
+from conftest import qudit_space, raises_exactly
 from test_dynamics import pair_annihilation_model
 from test_hilbert import _compatibility, _dense_twin, _index_map_case, _outcome, _states
 
@@ -408,3 +408,17 @@ class TestLabelArrayOracle:
         for fragment in ("passed", "outside a single", "land in different reference sectors",
                          "land in the same reference sector"):
             assert sum(fragment in t for t in texts) >= 20, fragment
+
+
+class TestInputChecks:
+    def test_absent_charge_has_no_sector(self):
+        dec = sector_decomposition(electron_positron_space(), "electric")
+        assert dec.charges == (-1, 0, 1)
+        with raises_exactly(KeyError, "no sector with charge 2"):
+            dec.indices(2)
+
+    def test_zero_vector_is_no_charge_eigenstate(self):
+        space = electron_positron_space()
+        dec = sector_decomposition(space, "electric")
+        zero = StateVector(space.space_id, np.zeros(space.dimension))
+        assert is_charge_eigenstate(zero, dec) is None
