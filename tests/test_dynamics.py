@@ -1128,7 +1128,10 @@ CHEBYSHEV_GRIDS = {"uneven": [0.0, 0.05, 0.37, 0.4, 1.9, 3.0],
                    "descending": [3.0, 1.0, 1.0, -0.5, -2.0]}
 
 
-class TestChebyshevPath:
+class TestTaylorPath:
+    """The matrix-free path for large blocks, now a Chebyshev recurrence; the
+    class and its test ids keep the name of the Taylor series it replaced."""
+
     @pytest.mark.parametrize("grid", sorted(CHEBYSHEV_GRIDS))
     @pytest.mark.parametrize("complex_vals", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("seed", range(4))
@@ -1277,7 +1280,7 @@ class TestChebyshevPath:
         assert traj.states[0].amplitudes.tobytes() == psi.amplitudes.tobytes()
         assert np.abs(traj.norms - 1.0).max() < 1e-13
 
-    def test_diagonalized_block_is_not_repropagated_by_chebyshev(self, monkeypatch, eigh_calls,
+    def test_diagonalized_block_is_not_repropagated_by_taylor(self, monkeypatch, eigh_calls,
                                                                 chebyshev_calls):
         h = _kicked(8)
         psi = random_state_vector(h.space, 4)
