@@ -1,12 +1,13 @@
 """Command line front end: run a scenario file and emit a report.
 
 Exit codes: 0 success, 1 at least one task failed, 2 the scenario could not
-be loaded or validated.
+be loaded or validated or the output file could not be opened for writing.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .errors import ScenarioError
 from .runner import run_scenario
@@ -64,15 +65,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ok: {args.scenario} ({len(scenario.tasks)} tasks)")
         return 0
 
-    report = run_scenario(scenario, tol, seed=args.seed)
-    payload = report.to_machine_bytes() if args.format == "machine" \
-        else report.to_text().encode("utf-8")
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    try:
+        out = open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out as fh:
+        report = run_scenario(scenario, tol, seed=args.seed)
+        fh.write(report.to_machine_bytes() if args.format == "machine"
+                 else report.to_text().encode("utf-8"))
+        fh.flush()
     return 1 if report.failed else 0
 
 

@@ -10,7 +10,7 @@ distributions down to the single-factor eigenvalues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 from typing import Sequence
@@ -39,8 +39,8 @@ from .tolerances import Tolerances
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """psi = sum_j c_j V(a_j (x) b_j) + residual, with the residual orthogonal
-    to every product pair V(a_j (x) b_k).
+    """psi = sum_j c_j V(a_j (x) b_j) + residual, the residual orthogonal to
+    every product pair V(a_j (x) b_k); residual_norm_sq is derived from it.
 
     Canonical form: coefficients are real nonnegative in descending order
     (phases folded into the A-side vectors; each B-side vector has its first
@@ -52,8 +52,11 @@ class SchmidtDecomposition:
     a_vectors: tuple[StateVector, ...]
     b_vectors: tuple[StateVector, ...]
     residual: StateVector
-    residual_norm_sq: float
+    residual_norm_sq: float = field(init=False)
     degeneracy_groups: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "residual_norm_sq", self.residual.norm_sq)
 
 
 def schmidt_decompose(psi_R: StateVector, e: Embedding,
@@ -61,8 +64,7 @@ def schmidt_decompose(psi_R: StateVector, e: Embedding,
     """Singular value decomposition of the pulled-back state, plus the part of
     psi outside the image as an explicit residual vector."""
     phi = pull_back(psi_R, e)
-    if not psi_R.is_normalized(tol):
-        raise ValueError(f"state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}")
+    psi_R._require_unit_norm("state", tol)
     u, s, vh = np.linalg.svd(phi, full_matrices=False)
     keep = s >= tol.zero_eig
     u, s, vh = u[:, keep], s[keep], vh[keep, :]
@@ -87,13 +89,11 @@ def schmidt_decompose(psi_R: StateVector, e: Embedding,
     b_rows = [b_rows[j] for j in order]
 
     residual = psi_R.amplitudes - push_forward(phi.reshape(-1), e)
-    res_norm_sq = float(np.vdot(residual, residual).real)
     return SchmidtDecomposition(
         coefficients=tuple(float(x) for x in s),
         a_vectors=tuple(StateVector(e.subsystem_id, a) for a in a_cols),
         b_vectors=tuple(StateVector(e.complementer_id, b) for b in b_rows),
         residual=StateVector(e.reference_id, residual),
-        residual_norm_sq=res_norm_sq,
         degeneracy_groups=tuple(tuple(g) for g in groups),
     )
 
@@ -224,19 +224,22 @@ def _party_pullbacks(psi_R: StateVector, composed: Embedding,
 class JointDistribution:
     """Probability tensor over the possible internal states of n disjoint
     subsystems. Entries can sum to less than one when the reference state has
-    weight outside the joint image. max_imag is 0.0 for a computed
-    distribution, whose entries are squared norms."""
+    weight outside the joint image. index_ranges, total and max_imag (always
+    0.0: the entries are squared norms) are derived from the probabilities."""
 
     subsystem_ids: tuple[str, ...]
-    index_ranges: tuple[int, ...]
+    index_ranges: tuple[int, ...] = field(init=False)
     probabilities: np.ndarray
-    total: float
-    max_imag: float
+    total: float = field(init=False)
+    max_imag: float = field(init=False)
 
     def __post_init__(self):
         probs = np.array(self.probabilities, dtype=np.float64)
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "index_ranges", probs.shape)
+        object.__setattr__(self, "total", float(probs.sum()))
+        object.__setattr__(self, "max_imag", 0.0)
 
     def clamped_probabilities(self) -> np.ndarray:
         """Entries clamped into [0, 1] for reporting."""
@@ -268,8 +271,7 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
         )
 
     amps = pull_back(psi_I, composed).reshape(*dims, -1)
-    if not psi_I.is_normalized(tol):
-        raise ValueError(f"reference state must be unit norm; |psi|^2 = {psi_I.norm_sq!r}")
+    psi_I._require_unit_norm("reference state", tol)
     for s in spectra:  # each contraction appends that party's outcome axis
         amps = np.tensordot(amps, s.eigenvector_matrix().conj(), (0, 0))
     probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=0)
@@ -285,10 +287,5 @@ def joint_distribution(psi_I: StateVector, composed: Embedding,
                 " the same reference state and embedding regroupings"
             )
 
-    return JointDistribution(
-        subsystem_ids=tuple(s.space_id for s in spectra),
-        index_ranges=probs.shape,
-        probabilities=probs,
-        total=float(probs.sum()),
-        max_imag=0.0,
-    )
+    return JointDistribution(subsystem_ids=tuple(s.space_id for s in spectra),
+                             probabilities=probs)

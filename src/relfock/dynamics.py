@@ -558,8 +558,7 @@ def evolve_trajectory(psi0: StateVector, h: HamiltonianSpec, times: Sequence[flo
     the triplet sums inside the support; an explicit isometry V gives its
     traces from one product conj(a) @ V."""
     psi0.require_space(h.space_id, h.space.dimension)
-    if not psi0.is_normalized(tol):
-        raise ValueError(f"initial state must be unit norm; |psi|^2 = {psi0.norm_sq!r}")
+    psi0._require_unit_norm("initial state", tol)
     embeddings = dict(embeddings or {})
     for key, emb in embeddings.items():
         if emb.reference_id != h.space_id:

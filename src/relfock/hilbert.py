@@ -210,6 +210,10 @@ class StateVector:
     def is_normalized(self, tol: Tolerances = Tolerances()) -> bool:
         return abs(self.norm_sq - 1.0) < tol.norm
 
+    def _require_unit_norm(self, what: str, tol: Tolerances) -> None:
+        if not self.is_normalized(tol):
+            raise ValueError(f"{what} must be unit norm; |psi|^2 = {self.norm_sq!r}")
+
     def require_space(self, space_id: str, dimension: int) -> None:
         if self.space_id != space_id or self.dimension != dimension:
             raise SpaceMismatchError(
@@ -408,9 +412,14 @@ class Embedding:
 
 @dataclass(frozen=True)
 class EmbeddingValidation:
-    passed: bool
+    """An isometry check, max|V^dagger V - 1| against tolerance; passed is derived."""
+
+    passed: bool = field(init=False)
     max_deviation: float
     tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.max_deviation < self.tolerance)
 
 
 def validate_embedding(e: Embedding, tol: Tolerances = Tolerances()) -> EmbeddingValidation:
@@ -421,7 +430,7 @@ def validate_embedding(e: Embedding, tol: Tolerances = Tolerances()) -> Embeddin
     else:
         gram = e.isometry.conj().T @ e.isometry
         dev = float(np.abs(gram - np.eye(e.image_dimension)).max())
-    return EmbeddingValidation(passed=dev < tol.herm, max_deviation=dev, tolerance=tol.herm)
+    return EmbeddingValidation(max_deviation=dev, tolerance=tol.herm)
 
 
 def pull_back(psi_R: StateVector, e: Embedding) -> np.ndarray:

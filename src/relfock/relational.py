@@ -9,7 +9,7 @@ carried through spectra and sampling as an explicit outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -22,27 +22,30 @@ from .tolerances import Tolerances
 class DensityOperator:
     """A positive Hermitian operator with trace at most one.
 
-    trace_deficit = 1 - trace is meaningful when the operator was reduced
-    from a unit-norm reference state; it is the weight of that state lying
-    outside the embedded product space.
+    trace and trace_deficit = 1 - trace are derived from the matrix; the
+    deficit of an operator reduced from a unit-norm reference state is the
+    weight of that state lying outside the embedded product space.
     """
 
     space_id: str
     matrix: np.ndarray
-    trace: float
-    trace_deficit: float
+    trace: float = field(init=False)
+    trace_deficit: float = field(init=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
+        # as given: a float matrix's trace can differ in the last bit from its complex copy's
+        trace = float(np.trace(np.asarray(self.matrix)).real)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "trace_deficit", 1.0 - trace)
 
     @classmethod
     def from_matrix(cls, space_id: str, matrix: np.ndarray) -> "DensityOperator":
-        trace = float(np.trace(np.asarray(matrix)).real)
-        return cls(space_id=space_id, matrix=matrix, trace=trace, trace_deficit=1.0 - trace)
+        return cls(space_id, matrix)
 
 
 Factor = Literal["A", "B"]
@@ -69,10 +72,7 @@ def _reduce(psi_R: StateVector, phi: np.ndarray, space_id: str,
             tol: Tolerances) -> DensityOperator:
     """The reduced state phi phi^dagger on space_id of psi_R pulled back as
     phi: rows on the kept factor, columns on everything traced out."""
-    if not psi_R.is_normalized(tol):
-        raise ValueError(
-            f"reference state must be unit norm; |psi|^2 = {psi_R.norm_sq!r}"
-        )
+    psi_R._require_unit_norm("reference state", tol)
     rho = phi @ phi.conj().T
     return DensityOperator.from_matrix(space_id, (rho + rho.conj().T) / 2.0)
 
@@ -82,20 +82,24 @@ class SpectralDecomposition:
     """Eigen-decomposition of a relational state.
 
     The eigenvectors are the possible internal states of the subsystem, each
-    realized with probability equal to its eigenvalue; the weight missing
-    from the trace appears as annihilation_probability so the outcome
-    distribution sums to one. Eigenvalues closer to zero than the cutoff are
-    dropped (counted in dropped_count). Indices grouped in degeneracy_groups
-    share an eigenvalue within the degeneracy tolerance, in which case the
-    reported basis is a deterministic convention, not physics.
+    realized with probability equal to its eigenvalue; the missing weight,
+    annihilation_probability = max(0, 1 - sum of eigenvalues), is derived,
+    so the outcome distribution sums to one. Eigenvalues closer to zero than
+    the cutoff are dropped (counted in dropped_count). Indices grouped in
+    degeneracy_groups share an eigenvalue within the degeneracy tolerance, in
+    which case the reported basis is a deterministic convention, not physics.
     """
 
     space_id: str
     eigenvalues: tuple[float, ...]
     eigenvectors: tuple[StateVector, ...]
     degeneracy_groups: tuple[tuple[int, ...], ...]
-    annihilation_probability: float
+    annihilation_probability: float = field(init=False)
     dropped_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "annihilation_probability",
+                           max(0.0, 1.0 - float(np.sum(self.eigenvalues))))
 
     @property
     def outcome_count(self) -> int:
@@ -184,13 +188,11 @@ def possible_internal_states(rho: DensityOperator,
             v[:, g[0]] *= _pivot_phase(v[:, g[0]])
 
     eigenvectors = tuple(StateVector(rho.space_id, v[:, j]) for j in range(len(w)))
-    annihilation = max(0.0, 1.0 - float(np.sum(w)))
     return SpectralDecomposition(
         space_id=rho.space_id,
         eigenvalues=tuple(float(x) for x in w),
         eigenvectors=eigenvectors,
         degeneracy_groups=tuple(tuple(g) for g in groups),
-        annihilation_probability=annihilation,
         dropped_count=dropped,
     )
 
@@ -217,6 +219,4 @@ def sample_internal_states(dec: SpectralDecomposition, count: int, seed: int) ->
     # that has nonzero probability.
     last = len(dec.eigenvalues) if dec.annihilation_probability > 0.0 \
         else len(dec.eigenvalues) - 1
-    if last < 0:
-        raise ValueError("decomposition has no outcomes to sample")
     return np.minimum(idx, last).astype(np.int64)

@@ -137,11 +137,16 @@ def _write_array(arr: np.ndarray, level: int, out: list[str]) -> None:
 
 @dataclass
 class TaskResult:
+    """One task's outcome; status ("ok", or "error" when error is set) is derived."""
+
     name: str
     command: str
-    status: str  # "ok" | "error"
+    status: str = field(init=False)
     result: dict | None = None
     error: dict | None = None
+
+    def __post_init__(self):
+        self.status = "ok" if self.error is None else "error"
 
 
 @dataclass
@@ -208,24 +213,20 @@ def _as_lists(value: Any) -> Any:
 
 def _render_value(value: Any, indent: int) -> list[str]:
     pad = " " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for k in value:
-            v = _as_lists(value[k])
-            if isinstance(v, (dict, list, tuple)) and not _is_short(v):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_value(v, indent + 2))
-            else:
-                lines.append(f"{pad}{k}: {_fmt_scalar(v)}")
+        entries = ((f"{k}:", v) for k, v in value.items())
     elif isinstance(value, (list, tuple)):
-        for v in map(_as_lists, value):
-            if isinstance(v, (dict, list, tuple)) and not _is_short(v):
-                lines.append(f"{pad}-")
-                lines.extend(_render_value(v, indent + 2))
-            else:
-                lines.append(f"{pad}- {_fmt_scalar(v)}")
+        entries = (("-", v) for v in value)
     else:
-        lines.append(f"{pad}{_fmt_scalar(value)}")
+        return [f"{pad}{_fmt_scalar(value)}"]
+    lines: list[str] = []
+    for head, v in entries:
+        v = _as_lists(v)
+        if isinstance(v, (dict, list, tuple)) and not _is_short(v):
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_value(v, indent + 2))
+        else:
+            lines.append(f"{pad}{head} {_fmt_scalar(v)}")
     return lines
 
 

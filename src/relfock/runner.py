@@ -255,22 +255,15 @@ def run_scenario(scenario: Scenario, tol: Tolerances = Tolerances(),
                     tolerances=tol)
     for task in scenario.tasks:
         handler = _HANDLERS.get(task.command)
+        result = error = None
         if handler is None:
-            report.tasks.append(TaskResult(
-                name=task.name, command=task.command, status="error",
-                error={"type": "UnknownCommand",
-                       "message": f"unknown command {task.command!r};"
-                                  f" expected one of {', '.join(COMMANDS)}"},
-            ))
-            continue
-        try:
-            result = handler(scenario, task.params, tol, seed)
-        except Exception as exc:  # noqa: BLE001 - task errors must not kill the run
-            report.tasks.append(TaskResult(
-                name=task.name, command=task.command, status="error",
-                error={"type": type(exc).__name__, "message": str(exc)},
-            ))
-            continue
-        report.tasks.append(TaskResult(
-            name=task.name, command=task.command, status="ok", result=result))
+            error = {"type": "UnknownCommand",
+                     "message": f"unknown command {task.command!r};"
+                                f" expected one of {', '.join(COMMANDS)}"}
+        else:
+            try:
+                result = handler(scenario, task.params, tol, seed)
+            except Exception as exc:  # noqa: BLE001 - task errors must not kill the run
+                error = {"type": type(exc).__name__, "message": str(exc)}
+        report.tasks.append(TaskResult(task.name, task.command, result, error))
     return report

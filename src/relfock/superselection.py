@@ -9,7 +9,7 @@ check_superselection measures the largest off-sector matrix element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,16 +73,20 @@ def is_charge_eigenstate(psi: StateVector, dec: SectorDecomposition,
 class SuperselectionReport:
     """Outcome of a block-diagonality check on a reduced state.
 
-    applicable is False when the reference state is not a charge eigenstate;
-    the off-sector magnitude is still computed (and then typically nonzero,
-    which is what makes the check falsifiable)."""
+    applicable (the reference state is a charge eigenstate) and passed are
+    derived; an inapplicable check still computes the off-sector magnitude
+    (then typically nonzero, which is what makes the check falsifiable)."""
 
     charge_kind: str
     reference_charge: int | None
-    applicable: bool
+    applicable: bool = field(init=False)
     off_block_max: float
-    passed: bool
+    passed: bool = field(init=False)
     tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "applicable", self.reference_charge is not None)
+        object.__setattr__(self, "passed", self.applicable and self.off_block_max < self.tolerance)
 
 
 def _column_sectors(e: Embedding, ref_sectors: SectorDecomposition,
@@ -156,12 +160,5 @@ def check_superselection(psi_R: StateVector, e: Embedding, kind: str,
     off_mask = q_a[:, None] != q_a[None, :]
     off_block_max = float(np.abs(rho.matrix[off_mask]).max()) if off_mask.any() else 0.0
 
-    applicable = reference_charge is not None
-    return SuperselectionReport(
-        charge_kind=kind,
-        reference_charge=reference_charge,
-        applicable=applicable,
-        off_block_max=off_block_max,
-        passed=applicable and off_block_max < tol.ssr,
-        tolerance=tol.ssr,
-    )
+    return SuperselectionReport(charge_kind=kind, reference_charge=reference_charge,
+                                off_block_max=off_block_max, tolerance=tol.ssr)

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -569,6 +571,15 @@ class TestCliContract:
         assert proc.returncode == 2
         assert proc.stdout == b"" and b"Traceback" not in proc.stderr
         assert b"--tol-ssr" in proc.stderr
+
+    @pytest.mark.parametrize("target, code", [("missing/out.json", errno.ENOENT),
+                                              (".", errno.EISDIR)])
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path, target, code):
+        path = tmp_path / target
+        proc = run_cli(str(scenario_path("bell")), "--output", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+        assert proc.stderr.decode() == f"error: cannot write {path}: {os.strerror(code)}\n"
 
     def test_text_format_mentions_tasks(self):
         proc = run_cli(str(scenario_path("product")))

@@ -530,7 +530,7 @@ class TestInputChecks:
         joint, _, psi, spectra = _three_qubit_joint()
         with raises_exactly(ValueError, "need at least one spectrum"):
             joint_distribution(psi, joint, [])
-        empty = SpectralDecomposition("A", (), (), (), 1.0, 2)
+        empty = SpectralDecomposition("A", (), (), (), 2)
         with raises_exactly(ValueError,
                             "every subsystem needs at least one possible internal state"):
             joint_distribution(psi, joint, spectra[:2] + [empty])

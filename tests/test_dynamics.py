@@ -751,6 +751,38 @@ class TestLazyBlocks:
         assert shapes == [(1, 70, 70)]
         assert states[0].tobytes() == states[1].tobytes()
 
+    def test_concurrent_first_need_builds_a_slab_once(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0.0)  # every block to Chebyshev
+        h = _kicked(10)
+        h.eigensystem  # found here: both threads share it
+        psi, times = random_state_vector(h.space, 6), np.linspace(0.0, 2.0, 20)
+        calls, entered, second, ell_slab = [], threading.Event(), threading.Event(), dynamics._ell_slab
+
+        def slow(g):
+            calls.append(g)
+            if len(calls) == 1:  # hold the first call until the second thread runs
+                entered.set()
+                second.wait(timeout=10)
+                time.sleep(0.2)
+            return ell_slab(g)
+        monkeypatch.setattr(dynamics, "_ell_slab", slow)
+        states = [None, None]
+
+        def run(i):
+            if i:
+                second.set()
+            traj = evolve_trajectory(psi, h, times)
+            states[i] = b"".join(s.amplitudes.tobytes() for s in traj.states)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        threads[0].start()
+        assert entered.wait(timeout=10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(calls) == 1
+        assert states[0] == states[1]
+
     @pytest.mark.parametrize("case", LAZY_CASES)
     def test_lazy_blocks_equal_blocks_of_a_fresh_spec(self, case):
         h = _propagation_case(case)[0]

@@ -209,7 +209,7 @@ def test_reports_are_written_without_the_json_encoder(tmp_path, monkeypatch):
 
 
 def _text_report(result: dict) -> str:
-    task = TaskResult(name="t", command="evolve", status="ok", result=result)
+    task = TaskResult(name="t", command="evolve", result=result)
     return Report("0", "sha256:0", Tolerances(), [task]).to_text()
 
 
